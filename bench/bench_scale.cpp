@@ -8,21 +8,11 @@
 //   jsonl-baseline  the text-baseline parse the binary format replaces
 //   shard           connected-component partition straight off the view
 //   em              sharded EM-Ext (LPT work stealing + tree reductions)
-//   em-legacy       the same EM on the pre-§16 execution path (A/B leg)
-//   em-profile      one instrumented run capturing per-shard EM seconds
-// recording wall time per phase, min-of-reps EM times for both engines
-// and their ratio (`speedup`), the per-shard EM-seconds histogram with
-// its load-imbalance factor (max/mean), the shard count/size histogram,
-// and peak RSS after each point. Results land in
-// bench_results/BENCH_PR10.json.
-//
-// The legacy leg reimplements the PR 8 execution strategy against the
-// current engine contract: fixed-grain unit dispatch (no LPT ordering,
-// no stealing), serial left-to-right folds for the column
-// log-likelihood and posterior mass, and the copy-heavy serial M-step
-// tail (finalize_m_step + sanitize_params + tie + max_abs_diff re-walk)
-// instead of the fused one. Same gathers, same per-unit arithmetic —
-// the A/B isolates scheduling + reduction/tail fusion, nothing else.
+// recording wall time per phase, the min-of-reps EM time, the shard
+// count/size histogram, the shards' mass imbalance (max/mean incidence
+// mass — claim plus exposure entries, the weights the LPT scheduler
+// places work units by), and peak RSS after each point. Results land in
+// bench_results/scale.json.
 //
 // SS_PERF_CHECK=1 runs one mid-size point as a correctness gate, no
 // timing tables: .ssd open must beat the JSONL parse by >= 50x, the
@@ -39,25 +29,18 @@
 // the JSON, SS_RSS_BUDGET_MB arms the RSS gate, SS_AFFINITY pins
 // workers (recorded in the result metadata).
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/em_driver.h"
 #include "core/em_ext.h"
-#include "core/em_mstep.h"
-#include "core/posterior.h"
 #include "core/sharded_em.h"
 #include "data/io.h"
 #include "data/shard.h"
 #include "data/ssd.h"
-#include "math/kernels.h"
-#include "math/logprob.h"
 #include "math/simd/dispatch.h"
 #include "simgen/scale_gen.h"
 #include "util/cpu.h"
@@ -103,240 +86,6 @@ std::uint64_t hash_estimate(const EmExtResult& r) {
 }
 
 // ---------------------------------------------------------------------
-// Legacy execution path (PR 8), kept runnable so the speedup column is
-// measured, not remembered. Implements the em_detail::run_em_driver
-// engine contract with the production gathers but the pre-§16
-// scheduling and reduction strategy.
-// ---------------------------------------------------------------------
-
-constexpr std::size_t kLegacyGrain = 256;
-
-struct LegacyUnit {
-  std::uint32_t shard;
-  std::uint32_t begin;
-  std::uint32_t end;
-};
-
-std::vector<LegacyUnit> legacy_units(const ShardedDataset& sharded,
-                                     bool columns) {
-  std::vector<LegacyUnit> units;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    const DatasetShard& sh = sharded.shard(s);
-    std::size_t count =
-        columns ? sh.assertion_ids().size() : sh.source_ids().size();
-    for (std::size_t begin = 0; begin < count; begin += kLegacyGrain) {
-      units.push_back(
-          {static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(begin),
-           static_cast<std::uint32_t>(
-               std::min(begin + kLegacyGrain, count))});
-    }
-  }
-  return units;
-}
-
-class LegacyShardedEmEngine {
- public:
-  LegacyShardedEmEngine(const ShardedDataset& sharded,
-                        const EmExtConfig& config, ThreadPool* pool)
-      : sharded_(sharded),
-        config_(config),
-        pool_(pool),
-        column_units_(legacy_units(sharded, /*columns=*/true)),
-        source_units_(legacy_units(sharded, /*columns=*/false)) {}
-
-  struct Scratch {
-    kernels::ExtLogTable table;
-    EStepResult e;
-    std::vector<double> column_ll;
-    std::vector<em_detail::SourceMStats> mstats;
-  };
-
-  std::size_t source_count() const { return sharded_.source_count(); }
-  std::size_t assertion_count() const {
-    return sharded_.assertion_count();
-  }
-  std::uint64_t claim_count() const {
-    return static_cast<std::uint64_t>(sharded_.claim_count());
-  }
-  ThreadPool* pool() const { return pool_; }
-
-  Scratch make_scratch() const { return Scratch{}; }
-
-  void e_step(const ModelParams& params, Scratch& s) const {
-    const std::size_t n = sharded_.source_count();
-    const std::size_t m = sharded_.assertion_count();
-    if (params.source.size() != n) {
-      throw std::invalid_argument(
-          "LegacyShardedEmEngine: params/source count mismatch");
-    }
-    s.table.build(n, clamp_prob(params.z), [&](std::size_t i) {
-      const SourceParams& sp = params.source[i];
-      return std::array<double, 4>{clamp_prob(sp.a), clamp_prob(sp.b),
-                                   clamp_prob(sp.f), clamp_prob(sp.g)};
-    });
-    s.e.posterior.resize(m);
-    s.e.log_odds.resize(m);
-    s.column_ll.resize(m);
-
-    const double log_z = s.table.log_z();
-    const double log_1mz = s.table.log_1mz();
-    double* la_buf = s.e.log_odds.data();
-    double* lb_buf = s.column_ll.data();
-    double* post = s.e.posterior.data();
-    run_units(column_units_, [&](const LegacyUnit& u) {
-      const DatasetShard& sh = sharded_.shard(u.shard);
-      std::span<const std::uint32_t> ids = sh.assertion_ids();
-      for (std::size_t c = u.begin; c < u.end; ++c) {
-        kernels::LogPair acc =
-            kernels::gather_add(s.table.base(), sh.exposed_sources(c),
-                                s.table.exposed_silent());
-        acc = kernels::gather_add_select(
-            acc, sh.claimants(c), sh.claimant_dependent(c),
-            s.table.claim_indep(), s.table.claim_dep());
-        std::uint32_t j = ids[c];
-        la_buf[j] = acc.t + log_z;
-        lb_buf[j] = acc.f + log_1mz;
-      }
-    });
-    for (std::size_t begin = 0; begin < m; begin += kLegacyGrain) {
-      std::size_t end = std::min(begin + kLegacyGrain, m);
-      kernels::finalize_columns(la_buf + begin, lb_buf + begin,
-                                end - begin, post + begin, la_buf + begin,
-                                lb_buf + begin);
-    }
-    // PR 8 reduction: serial left-to-right fold in assertion order.
-    double ll = 0.0;
-    for (std::size_t j = 0; j < m; ++j) ll += s.column_ll[j];
-    s.e.log_likelihood = ll;
-  }
-
-  void m_step(const std::vector<double>& posterior, ModelParams& params,
-              bool tie_fg, Scratch& s,
-              em_detail::MStepOutcome& out) const {
-    const std::size_t n = sharded_.source_count();
-    const std::size_t m = sharded_.assertion_count();
-    // PR 8 reduction: serial fold for the posterior mass.
-    double total_z = 0.0;
-    for (double z : posterior) total_z += z;
-    double total_y = static_cast<double>(m) - total_z;
-
-    std::vector<em_detail::SourceMStats>& stats = s.mstats;
-    stats.assign(n, em_detail::SourceMStats{});
-    run_units(source_units_, [&](const LegacyUnit& u) {
-      const DatasetShard& sh = sharded_.shard(u.shard);
-      std::span<const std::uint32_t> ids = sh.source_ids();
-      for (std::size_t p = u.begin; p < u.end; ++p) {
-        em_detail::SourceMStats& st = stats[ids[p]];
-        double exposed_z = kernels::gather_sum(sh.exposed_assertions(p),
-                                               posterior.data());
-        double exposed_count =
-            static_cast<double>(sh.exposed_assertions(p).size());
-        kernels::MassPair dep =
-            kernels::gather_mass(sh.dependent_claims(p), posterior.data());
-        kernels::MassPair indep = kernels::gather_mass(
-            sh.independent_claims(p), posterior.data());
-        st.claim_dep_z = dep.z;
-        st.claim_dep_y = dep.y;
-        st.claim_indep_z = indep.z;
-        st.claim_indep_y = indep.y;
-        st.denom_a = total_z - exposed_z;
-        st.denom_b = total_y - (exposed_count - exposed_z);
-        st.denom_f = exposed_z;
-        st.denom_g = exposed_count - exposed_z;
-      }
-    });
-    // PR 8 tail: full-copy finalize, then three more whole-parameter
-    // walks (sanitize, tie, max_abs_diff) — the cost the fused tail
-    // collapsed into one pass.
-    ModelParams next = em_detail::finalize_m_step(
-        stats, total_z, m, params, config_.clamp_eps, config_.shrinkage,
-        config_.z_floor);
-    out.sanitized = em_detail::sanitize_params(next, params);
-    if (tie_fg) {
-      for (SourceParams& sp : next.source) {
-        double tied = 0.5 * (sp.f + sp.g);
-        sp.f = tied;
-        sp.g = tied;
-      }
-    }
-    out.delta = params.max_abs_diff(next);
-    params = std::move(next);
-  }
-
-  std::vector<double> vote_prior(bool independent_only) const {
-    const std::size_t m = sharded_.assertion_count();
-    std::vector<double> posterior(m, 0.5);
-    if (m == 0) return posterior;
-    std::vector<double> support(m, 0.0);
-    for (std::size_t sidx = 0; sidx < sharded_.shard_count(); ++sidx) {
-      const DatasetShard& sh = sharded_.shard(sidx);
-      std::span<const std::uint32_t> ids = sh.assertion_ids();
-      for (std::size_t c = 0; c < ids.size(); ++c) {
-        std::size_t count;
-        if (independent_only) {
-          std::span<const char> flags = sh.claimant_dependent(c);
-          count = static_cast<std::size_t>(
-              std::count(flags.begin(), flags.end(), char{0}));
-        } else {
-          count = sh.claimants(c).size();
-        }
-        support[ids[c]] = static_cast<double>(count);
-      }
-    }
-    double mean_support = 0.0;
-    for (std::size_t j = 0; j < m; ++j) mean_support += support[j];
-    mean_support /= static_cast<double>(m);
-    if (mean_support <= 0.0) return posterior;
-    for (std::size_t j = 0; j < m; ++j) {
-      posterior[j] = std::clamp(
-          support[j] / (support[j] + mean_support), 0.05, 0.95);
-    }
-    return posterior;
-  }
-
-  bool degenerate_source(std::size_t i) const {
-    const DatasetShard& sh = sharded_.shard(sharded_.shard_of_source(i));
-    std::size_t p = sharded_.position_of_source(i);
-    return sh.dependent_claims(p).empty() &&
-           sh.independent_claims(p).empty() &&
-           sh.exposed_assertions(p).empty();
-  }
-
- private:
-  // PR 8 dispatch: fixed-grain chunks over the unit list in index
-  // order — workers self-schedule off a shared cursor, but nothing
-  // reorders the heavy units to the front and nobody steals.
-  template <typename Fn>
-  void run_units(const std::vector<LegacyUnit>& units,
-                 const Fn& fn) const {
-    if (pool_ != nullptr && pool_->size() > 1 && units.size() > 1) {
-      pool_->parallel_for_chunks(
-          units.size(), 1,
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t u = begin; u < end; ++u) fn(units[u]);
-          });
-    } else {
-      for (const LegacyUnit& u : units) fn(u);
-    }
-  }
-
-  const ShardedDataset& sharded_;
-  const EmExtConfig& config_;
-  ThreadPool* pool_;
-  std::vector<LegacyUnit> column_units_;
-  std::vector<LegacyUnit> source_units_;
-};
-
-EmExtResult run_legacy_detailed(const ShardedDataset& sharded,
-                                const EmExtConfig& config,
-                                std::uint64_t seed) {
-  ThreadPool* pool =
-      config.pool != nullptr ? config.pool : &global_pool();
-  LegacyShardedEmEngine engine(sharded, config, pool);
-  return em_detail::run_em_driver(engine, config, seed);
-}
-
-// ---------------------------------------------------------------------
 // Sweep
 // ---------------------------------------------------------------------
 
@@ -349,12 +98,10 @@ struct PointResult {
   std::size_t shards = 0;
   std::size_t shard_min = 0;
   std::size_t shard_max = 0;
+  double mass_imbalance = 0.0;  // max/mean shard incidence mass
   std::size_t em_iterations = 0;
-  double em_new_s = 0.0;     // min of reps, production engine
-  double em_legacy_s = 0.0;  // min of reps, PR 8 path
+  double em_s = 0.0;  // min of reps
   int em_reps = 0;
-  std::vector<double> shard_seconds;  // per-shard EM s (instrumented run)
-  double load_imbalance = 0.0;        // max/mean of shard_seconds
   double peak_rss_mb = 0.0;
 };
 
@@ -400,18 +147,23 @@ PointResult run_point(std::size_t sources, const std::string& dir,
   ShardedDataset sharded = ShardedDataset::build(view, shard_config);
   out.shards = sharded.shard_count();
   out.shard_min = sharded.assertion_count();
+  double mass_total = 0.0;
+  double mass_peak = 0.0;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    std::size_t m = sharded.shard(s).assertion_ids().size();
+    const DatasetShard& sh = sharded.shard(s);
+    std::size_t m = sh.assertion_ids().size();
     out.shard_min = std::min(out.shard_min, m);
     out.shard_max = std::max(out.shard_max, m);
+    double mass = static_cast<double>(sh.claim_count() + sh.exposed_count());
+    mass_total += mass;
+    mass_peak = std::max(mass_peak, mass);
   }
+  double mass_mean = mass_total / static_cast<double>(out.shards);
+  out.mass_imbalance = mass_mean > 0.0 ? mass_peak / mass_mean : 0.0;
 
   EmExtConfig config;
   config.max_iters = 30;  // fixed work per point, convergence untested
 
-  // A/B legs, min of reps each: the production engine (LPT work
-  // stealing + tree reductions + fused M-step tail) against the PR 8
-  // execution path on the identical sharded dataset.
   out.em_reps = static_cast<int>(env_int(
       "SS_REPS", sources >= 1'000'000 ? 2 : 3));
   out.em_reps = std::max(out.em_reps, 1);
@@ -421,36 +173,8 @@ PointResult run_point(std::size_t sources, const std::string& dir,
     WallTimer timer;
     EmExtResult r = ShardedEmEstimator(config).run_detailed(sharded, 1);
     double s = timer.seconds();
-    if (rep == 0 || s < out.em_new_s) out.em_new_s = s;
+    if (rep == 0 || s < out.em_s) out.em_s = s;
     out.em_iterations = r.likelihood_trace.size();
-  }
-
-  out.phases.section("em-legacy");
-  for (int rep = 0; rep < out.em_reps; ++rep) {
-    WallTimer timer;
-    EmExtResult r = run_legacy_detailed(sharded, config, 1);
-    double s = timer.seconds();
-    if (rep == 0 || s < out.em_legacy_s) out.em_legacy_s = s;
-    if (r.likelihood_trace.empty()) std::abort();
-  }
-
-  // One instrumented run for the per-shard EM-seconds histogram. Kept
-  // out of the timed legs: timing capture reads the clock around every
-  // work unit.
-  out.phases.section("em-profile");
-  config.shard_time_accum = &out.shard_seconds;
-  ShardedEmEstimator(config).run_detailed(sharded, 1);
-  config.shard_time_accum = nullptr;
-  if (!out.shard_seconds.empty()) {
-    double total = 0.0;
-    double peak = 0.0;
-    for (double s : out.shard_seconds) {
-      total += s;
-      peak = std::max(peak, s);
-    }
-    double mean =
-        total / static_cast<double>(out.shard_seconds.size());
-    out.load_imbalance = mean > 0.0 ? peak / mean : 0.0;
   }
   out.phases.finish();
 
@@ -659,8 +383,8 @@ int main() {
   std::filesystem::create_directories(dir);
 
   TablePrinter table({"sources", "claims", "file MB", "gen s", "open ms",
-                      "jsonl s", "shards", "shard m", "em s", "legacy s",
-                      "speedup", "imbal", "peak RSS MB"});
+                      "jsonl s", "shards", "shard m", "mass imbal", "em s",
+                      "peak RSS MB"});
   JsonValue points = JsonValue::array();
   for (std::size_t sources : axis) {
     // The JSONL baseline materializes the dataset; cap it at 10^5 so
@@ -669,8 +393,6 @@ int main() {
     PointResult p = run_point(sources, dir, with_jsonl);
     double file_mb =
         static_cast<double>(p.gen.ssd.bytes) / (1024.0 * 1024.0);
-    double em_speedup =
-        p.em_new_s > 0.0 ? p.em_legacy_s / p.em_new_s : 0.0;
     table.add_row(
         {std::to_string(p.sources), std::to_string(p.gen.ssd.claims),
          strprintf("%.1f", file_mb),
@@ -679,9 +401,7 @@ int main() {
          with_jsonl ? strprintf("%.2f", p.jsonl_s) : "-",
          std::to_string(p.shards),
          strprintf("%zu..%zu", p.shard_min, p.shard_max),
-         strprintf("%.2f", p.em_new_s), strprintf("%.2f", p.em_legacy_s),
-         strprintf("%.2fx", em_speedup),
-         strprintf("%.2f", p.load_imbalance),
+         strprintf("%.2f", p.mass_imbalance), strprintf("%.2f", p.em_s),
          strprintf("%.1f", p.peak_rss_mb)});
 
     JsonValue point = JsonValue::object();
@@ -701,15 +421,10 @@ int main() {
     point["shards"] = static_cast<double>(p.shards);
     point["shard_assertions_min"] = static_cast<double>(p.shard_min);
     point["shard_assertions_max"] = static_cast<double>(p.shard_max);
+    point["shard_mass_imbalance"] = p.mass_imbalance;
     point["em_iterations"] = static_cast<double>(p.em_iterations);
     point["em_reps"] = static_cast<double>(p.em_reps);
-    point["em_s_min"] = p.em_new_s;
-    point["em_legacy_s_min"] = p.em_legacy_s;
-    point["em_speedup_vs_legacy"] = em_speedup;
-    JsonValue hist = JsonValue::array();
-    for (double s : p.shard_seconds) hist.push_back(JsonValue(s));
-    point["per_shard_em_seconds"] = hist;
-    point["load_imbalance"] = p.load_imbalance;
+    point["em_s_min"] = p.em_s;
     point["peak_rss_mb"] = p.peak_rss_mb;
     points.push_back(point);
   }
@@ -718,12 +433,13 @@ int main() {
   JsonValue doc = JsonValue::object();
   doc["experiment"] = "scale";
   doc["seed"] = static_cast<double>(kSeed);
-  doc["threads"] = static_cast<double>(global_pool().size() + 1);
+  doc["pool_workers"] = static_cast<double>(global_pool().size());
+  doc["pool_participants"] = static_cast<double>(global_pool().size() + 1);
   doc["online_cpus"] = static_cast<double>(online_cpu_count());
   doc["affinity"] = affinity_name();
   doc["points"] = points;
-  bench::write_result("BENCH_PR10", doc);
-  std::printf("wrote %s/BENCH_PR10.json\n",
+  bench::write_result("scale", doc);
+  std::printf("wrote %s/scale.json\n",
               bench::results_dir().c_str());
   return 0;
 }

@@ -27,11 +27,10 @@
 //   void e_step(const ModelParams& params, Scratch& scratch) const;
 //   // Closed-form M-step given the posterior, applied to `params` IN
 //   // PLACE (params holds the previous estimates on entry, the new
-//   // ones on return). Fuses what used to be four separate driver
-//   // passes — non-finite sanitize, the optional f=g warm-up tie, and
-//   // the max-norm convergence delta — into the update itself
-//   // (em_detail::finalize_m_step_fused), reporting them via
-//   // MStepOutcome. Must be bit-identical across engines (both
+//   // ones on return). The non-finite sanitize, the optional f=g
+//   // warm-up tie and the max-norm convergence delta happen inside
+//   // the update (em_detail::finalize_m_step_fused) and are reported
+//   // via MStepOutcome. Must be bit-identical across engines (both
 //   // delegate to the shared fused tail).
 //   void m_step(const std::vector<double>& posterior, ModelParams& params,
 //               bool tie_fg, Scratch& scratch,
@@ -86,29 +85,6 @@ inline bool all_finite(const std::vector<double>& v) {
     if (!std::isfinite(x)) return false;
   }
   return true;
-}
-
-// Replaces non-finite parameter estimates with their previous values.
-// A non-finite rate cannot come from clean data — every M-step ratio is
-// clamped — so keep-previous is the only update that cannot make things
-// worse. Returns the number of replacements.
-inline std::size_t sanitize_params(ModelParams& next,
-                                   const ModelParams& prev) {
-  std::size_t fixed = 0;
-  auto fix = [&fixed](double& value, double fallback) {
-    if (!std::isfinite(value)) {
-      value = fallback;
-      ++fixed;
-    }
-  };
-  for (std::size_t i = 0; i < next.source.size(); ++i) {
-    fix(next.source[i].a, prev.source[i].a);
-    fix(next.source[i].b, prev.source[i].b);
-    fix(next.source[i].f, prev.source[i].f);
-    fix(next.source[i].g, prev.source[i].g);
-  }
-  fix(next.z, prev.z);
-  return fixed;
 }
 
 // One completed restart attempt, serialized bit-exact for

@@ -18,12 +18,16 @@
 #include "bounds/column_model.h"
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
+#include "core/likelihood.h"
+#include "core/posterior.h"
 #include "core/streaming_em.h"
 #include "estimators/average_log.h"
 #include "estimators/em_ipsn12.h"
 #include "estimators/em_social.h"
 #include "estimators/truth_finder.h"
 #include "simgen/parametric_gen.h"
+#include "twitter/builder.h"
+#include "twitter/scenario.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -139,6 +143,40 @@ inline std::uint64_t golden_gibbs(std::size_t threads) {
   h.f64(r.r_hat);
   h.u64(r.sweeps);
   return h.value();
+}
+
+// One fused E-step (posterior, log-odds, data log-likelihood). These
+// hashes were recorded after the kernel rewrite, at a commit where a
+// bench-side reimplementation of the pre-kernel E-step still ran and
+// matched the kernel output bit for bit on both workloads.
+inline std::uint64_t hash_e_step(const Dataset& d, const ModelParams& params,
+                                 ThreadPool* pool) {
+  LikelihoodTable table(d, params);
+  EStepResult e = fused_e_step(table, pool);
+  Hash h;
+  h.vec(e.posterior);
+  h.vec(e.log_odds);
+  h.f64(e.log_likelihood);
+  return h.value();
+}
+
+// Kirkuk-scale sparse matrix, random parameters (Rng(23)).
+inline std::uint64_t golden_e_step_kirkuk(std::size_t threads) {
+  BuiltDataset kirkuk = make_twitter_dataset(scenario_by_name("Kirkuk"), 42);
+  Rng rng(23);
+  ModelParams params =
+      random_init_params(kirkuk.dataset.source_count(), rng);
+  ThreadPool pool(threads);
+  return hash_e_step(kirkuk.dataset, params, &pool);
+}
+
+// Dense 200x2000 parametric instance at its true parameters.
+inline std::uint64_t golden_e_step_dense(std::size_t threads) {
+  Rng rng(8);
+  SimInstance dense =
+      generate_parametric(SimKnobs::paper_defaults(200, 2000), rng);
+  ThreadPool pool(threads);
+  return hash_e_step(dense.dataset, dense.true_params, &pool);
 }
 
 inline std::uint64_t golden_em_social() {

@@ -8,7 +8,8 @@
 //     -inf log-likelihoods).
 //  2. Golden tests: every migrated estimator reproduces the hash of its
 //     pre-kernel output (recorded at commit cbc8d85, see
-//     kernel_golden.h) — at one worker and at several.
+//     kernel_golden.h), and so does the fused E-step on the Kirkuk and
+//     dense 200x2000 workloads — at one worker and at several.
 //
 // Both guarantees are contracts of the SCALAR backend (it is the
 // executable reference; docs/MODEL.md §12), so this whole binary pins
@@ -390,6 +391,37 @@ TEST(KernelTables, SweepWeightsMatchPerSweepLogsBitwise) {
   expect_same_bits(sums.t, lt, "sum_state_logs.t");
   expect_same_bits(sums.f, lf, "sum_state_logs.f");
 
+  // A 200-source chain over 64 sweeps, one bit flipped per sweep: the
+  // accumulated log-ratio equals the per-sweep recompute bit for bit.
+  {
+    Rng chain_rng(21);
+    const std::size_t cn = 200;
+    std::vector<double> q1(cn), q0(cn);
+    std::vector<char> state(cn);
+    for (std::size_t i = 0; i < cn; ++i) {
+      q1[i] = std::clamp(chain_rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
+      q0[i] = std::clamp(chain_rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
+      state[i] = chain_rng.bernoulli(0.5) ? 1 : 0;
+    }
+    std::vector<kernels::SweepWeights> cw;
+    kernels::build_sweep_weights(q1, q0, cw);
+    double naive = 0.0;
+    double kernel = 0.0;
+    for (std::size_t s = 0; s < 64; ++s) {
+      state[s % cn] ^= 1;
+      double t = 0.0;
+      double f = 0.0;
+      for (std::size_t i = 0; i < cn; ++i) {
+        t += state[i] ? std::log(q1[i]) : std::log1p(-q1[i]);
+        f += state[i] ? std::log(q0[i]) : std::log1p(-q0[i]);
+      }
+      naive += t - f;
+      kernels::LogPair lp = kernels::sum_state_logs(state, cw.data());
+      kernel += lp.t - lp.f;
+    }
+    expect_same_bits(kernel, naive, "200-source sweep chain");
+  }
+
   EXPECT_THROW(
       kernels::build_sweep_weights(
           std::span<const double>(p1.data(), n - 1), p0, w),
@@ -502,6 +534,8 @@ constexpr std::uint64_t kGoldenEmSocial = 0x369a943266fa6f36ull;
 constexpr std::uint64_t kGoldenEmIpsn12 = 0x0f9a14a8d77d2827ull;
 constexpr std::uint64_t kGoldenTruthFinder = 0xf4bd952366a0c2b7ull;
 constexpr std::uint64_t kGoldenAverageLog = 0x4b590fc19df3a427ull;
+constexpr std::uint64_t kGoldenEStepKirkuk = 0x78b5950141f63bd1ull;
+constexpr std::uint64_t kGoldenEStepDense = 0x64e51e3d844b4cbdull;
 
 TEST(KernelGolden, EmExtVotePriorSerialAndParallel) {
   EXPECT_EQ(golden::golden_em_ext_vote(1), kGoldenEmExtVote);
@@ -536,6 +570,16 @@ TEST(KernelGolden, TruthFinder) {
 
 TEST(KernelGolden, AverageLog) {
   EXPECT_EQ(golden::golden_average_log(), kGoldenAverageLog);
+}
+
+TEST(KernelGolden, EStepKirkukSerialAndParallel) {
+  EXPECT_EQ(golden::golden_e_step_kirkuk(1), kGoldenEStepKirkuk);
+  EXPECT_EQ(golden::golden_e_step_kirkuk(4), kGoldenEStepKirkuk);
+}
+
+TEST(KernelGolden, EStepDense200x2000SerialAndParallel) {
+  EXPECT_EQ(golden::golden_e_step_dense(1), kGoldenEStepDense);
+  EXPECT_EQ(golden::golden_e_step_dense(4), kGoldenEStepDense);
 }
 
 // ---------------------------------------------------------------------

@@ -311,29 +311,6 @@ TEST(ParallelTasks, LowestIndexExceptionWinsAndAllTasksStillRun) {
   }
 }
 
-TEST(ParallelTasks, TimingCaptureFillsEverySlot) {
-  ThreadPool pool(2);
-  std::vector<double> weights(16, 1.0);
-  std::vector<double> seconds(3, -1.0);  // wrong size: must be reset
-  std::vector<std::atomic<int>> runs(weights.size());
-  for (auto& r : runs) r.store(0);
-  pool.parallel_tasks(
-      weights,
-      [&](std::size_t t) {
-        runs[t].fetch_add(1);
-        // Make the timed section observable without flakiness: any
-        // duration >= 0 is legal, we only assert the slots were written.
-        volatile double sink = 0.0;
-        for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-      },
-      &seconds);
-  ASSERT_EQ(seconds.size(), weights.size());
-  for (std::size_t t = 0; t < seconds.size(); ++t) {
-    EXPECT_GE(seconds[t], 0.0) << "task " << t;
-    EXPECT_EQ(runs[t].load(), 1);
-  }
-}
-
 TEST(ParallelTasks, NestedInsidePoolTaskDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
