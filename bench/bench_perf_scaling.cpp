@@ -192,7 +192,8 @@ void run_thread_sweep() {
 // math/simd/dispatch.h): each workload runs once pinned to each
 // backend, the outputs are compared under the AVX2 ULP contract
 // (docs/MODEL.md §12) BEFORE any timing, and the speedups + the full
-// ULP ablation land in <results_dir>/BENCH_PR6.json. SS_PERF_CHECK=1
+// ULP ablation land in <results_dir>/backend.json (the committed
+// BENCH_PR6.json is this sweep's historical record). SS_PERF_CHECK=1
 // runs the agreement checks only — that is the `perf-smoke` leg for
 // this axis. On a host without AVX2+FMA the sweep degrades to a
 // skip-with-note (there is nothing to compare).
@@ -557,7 +558,7 @@ bool run_backend_sweep(bool check_only) {
   }
 
   JsonValue doc = JsonValue::object();
-  doc["bench"] = "BENCH_PR6";
+  doc["bench"] = "backend";
   doc["reps"] = static_cast<std::size_t>(reps);
   doc["note"] =
       "AVX2 backend vs scalar backend through the same kernel API "
@@ -609,7 +610,7 @@ bool run_backend_sweep(bool check_only) {
     return t;
   }();
   doc["em_ext_e2e"] = std::move(e2e);
-  ss::bench::write_result("BENCH_PR6", doc);
+  ss::bench::write_result("backend", doc);
   return true;
 }
 

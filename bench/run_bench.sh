@@ -4,13 +4,14 @@
 # Builds (if needed) and runs bench_perf_scaling, which
 #   1. asserts the scalar and AVX2 backends agree under the ULP
 #      contract, then
-#   2. times scalar vs AVX2 backend legs (BENCH_PR6.json), the thread
+#   2. times scalar vs AVX2 backend legs (backend.json), the thread
 #      sweep (perf_scaling.json) and the loaders
 #      (ingestion_robustness.json) under
 #      <SS_RESULTS_DIR|bench_results>/.
-# BENCH_PR3.json is a historical record; the baseline leg that wrote
-# it was retired, and tests/test_kernels.cpp now pins the bit-identity
-# it asserted.
+# BENCH_PR3.json and BENCH_PR6.json are historical records: the
+# baseline leg that wrote BENCH_PR3 was retired (tests/test_kernels.cpp
+# now pins the bit-identity it asserted), and the backend sweep that
+# wrote BENCH_PR6 now writes backend.json so a rerun leaves it intact.
 #
 # Usage:
 #   bench/run_bench.sh                   # full timed run

@@ -80,11 +80,12 @@ struct EmExtConfig {
   // concurrently on the pool; the winner is selected in attempt order,
   // so results do not depend on scheduling.
   std::size_t restarts = 1;
-  // Worker pool for the fused E-step, the M-step statistics and the
+  // Worker pool for the E-step gathers, the M-step statistics and the
   // restarts. nullptr selects the process-wide global_pool() (sized by
   // SS_THREADS). Results are bit-identical for every pool size,
   // including 1 — parallel slots are index-addressed and every
-  // floating-point reduction runs serially in canonical order.
+  // floating-point reduction is a fixed-shape tree reduction whose
+  // shape depends only on the element count (kernels::tree_reduce).
   ThreadPool* pool = nullptr;
   // Fault tolerance (docs/MODEL.md §9). An attempt whose E-step goes
   // non-finite (injected fault, pathological input) is re-seeded from a

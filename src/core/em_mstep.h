@@ -1,13 +1,12 @@
-// Shared closed-form M-step tail (Eq. 10-14) for the flat and sharded
-// EM-Ext engines.
+// Closed-form M-step tail (Eq. 10-14) of the EM-Ext engine
+// (core/sharded_em.cpp).
 //
-// Both engines compute the same per-source sufficient statistics — the
-// flat engine gathers over ClaimPartition's CSR lists, the sharded one
-// over DatasetShard's identically-ordered copies — and must then apply
-// the *same* pooled-shrinkage parameter update so their results stay
-// bit-identical (the pooled rates couple every source; see
-// docs/MODEL.md §14/§16). That shared tail lives here, in one place, so
-// the two engines cannot drift apart.
+// The engine fills per-source sufficient statistics from DatasetShard's
+// CSR lists, whose order is the Dataset's own (ClaimPartition) order,
+// into one global array indexed by source id. The pooled-shrinkage
+// update couples every source (docs/MODEL.md §14/§16), so this tail
+// reduces that global array, never a per-shard one: the result is then
+// the same bits for any shard layout.
 //
 // finalize_m_step_fused runs the pooled reduction as a fixed-shape tree
 // over the *global* stats array (kernels::tree_reduce — identical bits
@@ -49,7 +48,7 @@ struct SourceMStats {
 
 // Production fill layout: the four denominators above are pure
 // functions of (exposed_z, exposed_count) and the loop constants
-// (total_z, total_y), so the engines store only the two exposure
+// (total_z, total_y), so the engine stores only the two exposure
 // scalars and the consumers re-derive the denominators with the
 // *identical* floating-point operations in the identical order —
 //   t1      = fl(exposed_count - exposed_z)
@@ -96,9 +95,9 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
   // The loop constant the packed denominators need.
   const double total_y = static_cast<double>(m) - total_z;
   // Pooled rates anchor the shrinkage prior. Fixed-shape tree over the
-  // global stats array: the shape depends only on n, so flat and
-  // sharded engines (which fill the same global array) agree bitwise
-  // no matter who computed which block. Each element's denominators
+  // global stats array: the shape depends only on n, so every shard
+  // layout and thread count (which fill the same global array) agrees
+  // bitwise no matter who computed which block. Each element's denominators
   // are derived in-register (see SourceMStatsPacked) and added in
   // source order within each block.
   SourceMStats pooled = kernels::tree_reduce(

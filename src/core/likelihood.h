@@ -19,11 +19,14 @@
 // rebuilds the table in place, so one LikelihoodTable serves a whole EM
 // run without per-iteration allocation. Results are bit-identical to
 // the pre-kernel six-array walk (see tests/test_kernels.cpp).
+//
+// LikelihoodTable reads the Dataset's own per-column views and copies
+// nothing from it. column() is the per-column reference the tests
+// compare the EM-Ext engine (core/sharded_em.h) against, and the table
+// behind fused_e_step and StreamingEmExt's per-batch E-step.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "core/params.h"
 #include "data/dataset.h"
@@ -59,12 +62,11 @@ class LikelihoodTable {
   std::size_t assertion_count() const {
     return dataset_.assertion_count();
   }
-  const Dataset& dataset() const { return dataset_; }
 
   // Column log-likelihoods for assertion j (Eq. 4/5). Claim cells read
   // D_ij from the dataset's ClaimPartition cache; thread-safe. Inline:
-  // the fused E-step's column loop compiles down to the gather kernels
-  // with no per-column call.
+  // fused_e_step's gather pass compiles down to the gather kernels with
+  // no per-column call.
   ColumnLogLikelihood column(std::size_t assertion) const {
     // Move every exposed source from the unexposed-silent baseline to
     // exposed-silent, then flip claimants from silent to claiming
@@ -82,19 +84,6 @@ class LikelihoodTable {
     return {acc.t, acc.f};
   }
 
-  // Prior-shifted columns for j in [begin, end):
-  //   la[j] = log P(SC_j | C_j=1) + log z
-  //   lb[j] = log P(SC_j | C_j=0) + log(1-z)
-  // Gathers two columns at a time (kernels::gather_add2) so the
-  // independent accumulator chains of adjacent columns interleave; each
-  // column's own add order is unchanged, so every slot is bit-identical
-  // to column(j) plus the prior. This is the E-step's gather pass.
-  void prior_columns(std::size_t begin, std::size_t end, double* la,
-                     double* lb) const;
-
-  // All m columns at once.
-  std::vector<ColumnLogLikelihood> all_columns() const;
-
   // Total data log-likelihood (Eq. 7): sum_j logsumexp over C_j of
   // log P(SC_j | C_j) + log P(C_j).
   double data_log_likelihood() const;
@@ -103,60 +92,9 @@ class LikelihoodTable {
   double log_prior_false() const { return logs_.log_1mz(); }
 
  private:
-  std::span<const std::uint32_t> exposed_csr(std::size_t j) const {
-    return {exp_idx_.data() + exp_off_[j], exp_off_[j + 1] - exp_off_[j]};
-  }
-  std::span<const std::uint32_t> claimant_csr(std::size_t j) const {
-    return {cl_idx_.data() + cl_off_[j], cl_off_[j + 1] - cl_off_[j]};
-  }
-  std::span<const std::uint32_t> pair_sched(std::size_t p) const {
-    return {pair_offs_.data() + pair_off_[p], pair_off_[p + 1] - pair_off_[p]};
-  }
-  std::span<const std::uint32_t> single_sched(std::size_t p) const {
-    return {single_offs_.data() + single_off_[p],
-            single_off_[p + 1] - single_off_[p]};
-  }
-
   const Dataset& dataset_;
   const ClaimPartition* partition_;  // owned by dataset_
   kernels::ExtLogTable logs_;        // hoisted per-source log terms
-
-  // Structure-only CSR flattening of the dataset's per-column
-  // exposed-source and claimant lists (same element order), built once
-  // per table and shared by every EM iteration: the scan then streams
-  // one contiguous index array instead of chasing per-column vector
-  // allocations.
-  std::vector<std::uint32_t> exp_idx_;
-  std::vector<std::size_t> exp_off_;
-  std::vector<std::uint32_t> cl_idx_;
-  std::vector<std::size_t> cl_off_;
-
-  // AVX2 column restructure (see prior_columns): a dependent claimant
-  // is by construction also in the exposed list (it claimed after its
-  // influencer), so its exposed-silent correction can be folded into
-  // its claim correction. The column walk then gathers the silent-only
-  // sources (exposed minus dependent claimants) with `es`, the
-  // independent claimants with `ci`, and the dependent claimants with
-  // the folded `cd + es` — |exposed| + |independent| elements instead
-  // of |exposed| + |claimants|, and no flag select.
-  //
-  // The fold is realized as a *precompiled gather schedule*: the three
-  // per-column index groups are compiled once (structure-only) into
-  // byte-offset streams over one concatenated value table
-  // `super_ = [es rows | ci rows | cd+es rows | two zero rows]`,
-  // with runs of adjacent indices emitted as 32-byte two-row granules
-  // and the rest as 16-byte granules, interleaved [col 2p, col 2p+1]
-  // per fixed column pair and padded with the zero sentinel row so both
-  // streams are rectangular (padded slots add 0.0). set_params() only
-  // refreshes the value rows. The schedule changes summation grouping,
-  // so only the AVX2 backend (ULP contract) takes it; the scalar path
-  // keeps the source-order exposed+select walk for bit-identity.
-  bool fold_ready_ = false;
-  std::vector<kernels::LogPair> super_;  // [es | ci | cd+es | 0, 0]
-  std::vector<std::uint32_t> pair_offs_;    // 32-byte granule offsets
-  std::vector<std::uint32_t> single_offs_;  // 16-byte granule offsets
-  std::vector<std::size_t> pair_off_;    // per-column-pair stream starts
-  std::vector<std::size_t> single_off_;
 };
 
 }  // namespace ss

@@ -79,8 +79,14 @@ void fused_e_step(const LikelihoodTable& table, ThreadPool* pool,
   double* la_buf = out.log_odds.data();
   double* lb_buf = column_ll_scratch.data();
   double* post = out.posterior.data();
-  auto gather_pass = [&](std::size_t, std::size_t begin, std::size_t end) {
-    table.prior_columns(begin, end, la_buf, lb_buf);
+  const double log_z = table.log_prior_true();
+  const double log_1mz = table.log_prior_false();
+  auto gather_pass = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      ColumnLogLikelihood c = table.column(j);
+      la_buf[j] = c.log_given_true + log_z;
+      lb_buf[j] = c.log_given_false + log_1mz;
+    }
   };
   // Epilogue over [begin, end): the dispatched batch kernel writes
   // posterior / log_odds / column_ll in place (note the sanctioned
@@ -100,7 +106,7 @@ void fused_e_step(const LikelihoodTable& table, ThreadPool* pool,
     pool->parallel_for_chunks(
         m, kColumnGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
-          gather_pass(0, begin, end);
+          gather_pass(begin, end);
           epilogue_pass(begin, end);
         });
   } else {
@@ -108,7 +114,7 @@ void fused_e_step(const LikelihoodTable& table, ThreadPool* pool,
     // still L1-resident when the epilogue rereads them.
     for (std::size_t begin = 0; begin < m; begin += kColumnGrain) {
       std::size_t end = std::min(begin + kColumnGrain, m);
-      gather_pass(0, begin, end);
+      gather_pass(begin, end);
       epilogue_pass(begin, end);
     }
   }

@@ -47,9 +47,9 @@ struct EStepResult {
 // three outputs from a single exp — bit-identical to the separate
 // sigmoid + logsumexp calls it fused (see math/kernels.h). With a pool,
 // columns are processed in fixed assertion chunks and per-column
-// outputs land in index-addressed slots; the log-likelihood is then
-// summed serially in assertion order — so the result is bit-identical
-// to the serial pass for any thread count. pool == nullptr or
+// outputs land in index-addressed slots; the log-likelihood is then a
+// fixed-shape tree sum in assertion order (kernels::tree_sum) — so the
+// result is bit-identical to the serial pass for any thread count. pool == nullptr or
 // single-worker pools run serially.
 EStepResult fused_e_step(const LikelihoodTable& table,
                          ThreadPool* pool = nullptr);

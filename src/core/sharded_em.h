@@ -1,35 +1,36 @@
-// EM-Ext over a ShardedDataset: the million-source execution strategy.
+// EM-Ext over a ShardedDataset: the one EM-Ext execution engine.
 //
-// The flat engine (em_ext.cpp) walks one global CSR; at 10^6 sources
-// its fixed-grain column chunks still work, but every chunk touches the
-// whole value table and the whole incidence image. ShardedEmEstimator
-// runs the *same* E/M kernels over the per-shard CSR slices built by
-// ShardedDataset (data/shard.h): each work unit reads one shard's
+// EmExtEstimator::run_detailed partitions its Dataset with
+// ShardedDataset::build (data/shard.h) and runs it here; callers that
+// already hold shards (bench_scale, an mmap-ed .ssd file) call
+// ShardedEmEstimator directly. Each work unit reads one shard's
 // claimant/exposed lists — which reference only that shard's sources —
 // so the hot loops stay within a shard-sized working set, and shards
 // spread across the thread pool.
 //
 // Sharding is an execution strategy, never an approximation: all ids
 // stay global, the likelihood base / pooled shrinkage rates / prior z
-// are computed over all sources exactly as the flat engine computes
-// them, and every per-column and per-source gather walks the same
-// element order as its flat counterpart. Work units (shard-confined
-// column/source ranges) are dispatched through the LPT work-stealing
-// scheduler (ThreadPool::parallel_tasks) — heaviest shards first, idle
-// workers steal — so a skewed shard histogram no longer serializes on
-// its largest shard. Scheduling freedom is safe because units only
-// scatter into disjoint index-addressed slots; every global
-// floating-point reduction (column log-likelihood, M-step pooling,
-// update deltas) then runs through the fixed-shape tree reductions of
-// math/kernels.h, whose shape depends only on the element count. On
-// the scalar backend the results are therefore bit-identical to
-// EmExtEstimator for any shard layout, any thread count and any
-// steal order — tests/test_shard.cpp pins this with golden FNV-1a
-// hashes; on the AVX2 backend both engines live under the same
-// exactness contract (docs/MODEL.md §12, §16). The outer loop (init,
-// warm-up, retries, restarts, checkpointing) is
-// em_detail::run_em_driver, shared with the flat engine, so checkpoint
-// files are interchangeable between the two.
+// are computed over all sources, and every per-column and per-source
+// gather walks the same element order as the unsharded Dataset views
+// (LikelihoodTable::column is the per-column reference). Work units
+// (shard-confined column/source ranges) are dispatched through the LPT
+// work-stealing scheduler (ThreadPool::parallel_tasks) — heaviest
+// shards first, idle workers steal — so a skewed shard histogram no
+// longer serializes on its largest shard. Scheduling freedom is safe
+// because units only scatter into disjoint index-addressed slots;
+// every global floating-point reduction (column log-likelihood, M-step
+// pooling, update deltas) then runs through the fixed-shape tree
+// reductions of math/kernels.h, whose shape depends only on the
+// element count. Integer health counters are the only values merged
+// without ordering. On the scalar backend the results are therefore
+// bit-identical for any shard layout, any thread count and any steal
+// order — tests/test_shard.cpp and tests/test_kernels.cpp pin this
+// with golden FNV-1a hashes; the AVX2 backend is held to the ULP
+// contract (docs/MODEL.md §12, §16). The outer loop (init, warm-up,
+// retries, restarts, checkpointing) lives in sharded_em.cpp; its
+// checkpoint fingerprint depends only on the dataset shape, so a
+// checkpoint written through EmExtEstimator resumes through
+// ShardedEmEstimator and vice versa.
 #pragma once
 
 #include <cstdint>

@@ -85,6 +85,8 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     EmExtConfig boot;
     boot.shrinkage = config_.shrinkage;
     boot.clamp_eps = config_.clamp_eps;
+    boot.z_floor = config_.z_floor;
+    boot.pool = config_.pool;
     boot.max_iters = 1;
     params_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
   }

@@ -11,16 +11,16 @@
 // splits. All ids stay GLOBAL: the sharded EM engine
 // (core/sharded_em.*) gathers from global value tables and scatters
 // into global posterior/stats buffers, which is what makes it
-// bit-identical to the flat engine — the likelihood base, the pooled
-// shrinkage rates and the prior z couple every source to every column,
-// so sharding here is an execution/data-layout strategy, never an
-// approximation.
+// bit-identical for every shard layout — the likelihood base, the
+// pooled shrinkage rates and the prior z couple every source to every
+// column, so sharding here is an execution/data-layout strategy, never
+// an approximation.
 //
 // A shard's columns reference only that shard's sources (claimants and
 // exposed sources both), so shard-parallel E/M passes touch disjoint
 // index ranges of the value tables and disjoint slots of the output
 // buffers — no cross-shard false sharing beyond chunk-boundary cache
-// lines, exactly like the flat engine's fixed-grain chunks.
+// lines, exactly like fixed-grain chunks over one global CSR.
 //
 // Build sources: an in-memory Dataset, or an mmap-ed SsdView
 // (data/ssd.h) — the latter never materializes the global Dataset, so
@@ -60,7 +60,7 @@ struct ShardConfig {
 // One shard: a group of whole components. Ids are global; per-column
 // arrays are indexed by position in `assertions`, per-source arrays by
 // position in `sources`. All lists are ascending, preserving the
-// addition order of the flat engine's kernels.
+// addition order of the Dataset's own per-column and per-source views.
 class DatasetShard {
  public:
   std::span<const std::uint32_t> source_ids() const { return sources_; }

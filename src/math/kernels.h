@@ -211,22 +211,6 @@ namespace simd {
 kernels::LogPair gather_add_avx2(kernels::LogPair acc,
                                  std::span<const std::uint32_t> idx,
                                  const kernels::LogPair* terms);
-void gather_add2_avx2(kernels::LogPair& acc0,
-                      std::span<const std::uint32_t> idx0,
-                      kernels::LogPair& acc1,
-                      std::span<const std::uint32_t> idx1,
-                      const kernels::LogPair* terms);
-// Precompiled column-pair gather schedule (see LikelihoodTable, which
-// builds these from the dataset structure): `pair_offs` interleaves
-// [col0, col1] byte offsets of 32-byte two-row granules (two adjacent
-// LogPair rows summed into one 256-bit add), `single_offs` of 16-byte
-// one-row granules, both into a caller-concatenated value table whose
-// sentinel rows are zero (so padded slots are no-ops). Sums are
-// grouped per accumulator chain (ULP contract only).
-void gather_schedule_avx2(kernels::LogPair& acc0, kernels::LogPair& acc1,
-                          std::span<const std::uint32_t> pair_offs,
-                          std::span<const std::uint32_t> single_offs,
-                          const double* table);
 kernels::LogPair gather_add_select_avx2(kernels::LogPair acc,
                                         std::span<const std::uint32_t> idx,
                                         std::span<const char> flags,
@@ -339,85 +323,6 @@ inline LogPair gather_add(LogPair acc, std::span<const std::uint32_t> idx,
     af += p.f;
   }
   return {at, af};
-}
-
-// Two gather_add chains advanced in lockstep: acc0 over idx0 and acc1
-// over idx1, same `terms` table. The chains belong to different
-// columns, so interleaving them doubles the FP-add ILP the column scan
-// exposes — each chain's own element order is untouched, so both
-// results are bit-identical to two gather_add calls. (This is the
-// allowed form of scalar "unrolling": more *independent* accumulator
-// chains, never extra partial accumulators within one chain.)
-inline void gather_add2(LogPair& acc0, std::span<const std::uint32_t> idx0,
-                        LogPair& acc1, std::span<const std::uint32_t> idx1,
-                        const LogPair* terms) {
-  if (idx0.size() + idx1.size() >= 8 && simd::avx2_active()) {
-    simd::gather_add2_avx2(acc0, idx0, acc1, idx1, terms);
-    return;
-  }
-  double a0t = acc0.t, a0f = acc0.f;
-  double a1t = acc1.t, a1f = acc1.f;
-  const std::size_t n0 = idx0.size();
-  const std::size_t n1 = idx1.size();
-  const std::size_t shared = n0 < n1 ? n0 : n1;
-  std::size_t k = 0;
-  for (; k < shared; ++k) {
-    const LogPair& p0 = terms[idx0[k]];
-    const LogPair& p1 = terms[idx1[k]];
-    a0t += p0.t;
-    a0f += p0.f;
-    a1t += p1.t;
-    a1f += p1.f;
-  }
-  for (; k < n0; ++k) {
-    const LogPair& p = terms[idx0[k]];
-    a0t += p.t;
-    a0f += p.f;
-  }
-  for (; k < n1; ++k) {
-    const LogPair& p = terms[idx1[k]];
-    a1t += p.t;
-    a1f += p.f;
-  }
-  acc0 = {a0t, a0f};
-  acc1 = {a1t, a1f};
-}
-
-// Executes a precompiled column-pair gather schedule (built by
-// LikelihoodTable from dataset structure): adjacent table rows are
-// fetched as one 32-byte granule, remaining rows as 16-byte granules,
-// all addressed by byte offset into one concatenated value table.
-// Schedules only exist on datasets where the AVX2 column fold applies,
-// so the scalar walk here is a reference implementation for tests, not
-// a production path; it uses the same per-granule grouping as the
-// vector kernel's tail-free layout.
-inline void gather_schedule(LogPair& acc0, LogPair& acc1,
-                            std::span<const std::uint32_t> pair_offs,
-                            std::span<const std::uint32_t> single_offs,
-                            const double* table) {
-  if (simd::avx2_active()) {
-    simd::gather_schedule_avx2(acc0, acc1, pair_offs, single_offs, table);
-    return;
-  }
-  auto row = [table](std::uint32_t off) {
-    return table + off / sizeof(double);
-  };
-  for (std::size_t k = 0; k + 2 <= pair_offs.size(); k += 2) {
-    const double* p0 = row(pair_offs[k]);
-    const double* p1 = row(pair_offs[k + 1]);
-    acc0.t += p0[0] + p0[2];
-    acc0.f += p0[1] + p0[3];
-    acc1.t += p1[0] + p1[2];
-    acc1.f += p1[1] + p1[3];
-  }
-  for (std::size_t k = 0; k + 2 <= single_offs.size(); k += 2) {
-    const double* p0 = row(single_offs[k]);
-    const double* p1 = row(single_offs[k + 1]);
-    acc0.t += p0[0];
-    acc0.f += p0[1];
-    acc1.t += p1[0];
-    acc1.f += p1[1];
-  }
 }
 
 // acc -= sum_{u in idx} terms[u] (EM-Social removes exposed sources
@@ -583,10 +488,11 @@ std::size_t finalize_params(std::size_t n, const double* stats6,
 
 // Four-rate table for the dependency-aware model (Table II): baseline
 // "everyone silent and unexposed" sums plus the three correction pairs
-// LikelihoodTable applies per column. `rates(i)` must return the
-// already-clamped {a, b, f, g} for source i; the scalar build performs
-// exactly the eight transcendentals per source of the pre-kernel
-// constructor, in the same order, and reallocates only when the source
+// every column walk (LikelihoodTable::column and the sharded E-step)
+// applies per column. `rates(i)` must return the already-clamped
+// {a, b, f, g} for source i; the scalar build performs exactly the
+// eight transcendentals per source of the pre-kernel constructor, in
+// the same order, and reallocates only when the source
 // count grows. The avx2 build packs the rates into a scratch row and
 // evaluates all four log/log1p pairs of a source as one vector
 // (simd::ext_table_rows_avx2); the base sums still accumulate in

@@ -3,12 +3,16 @@
 // Eq.-9 posterior, and the EM-Ext estimator's invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/em_ext.h"
 #include "core/likelihood.h"
 #include "core/posterior.h"
 #include "simgen/parametric_gen.h"
+#include "twitter/builder.h"
+#include "twitter/scenario.h"
 
 namespace ss {
 namespace {
@@ -207,6 +211,46 @@ TEST(EmExt, LikelihoodIsMonotone) {
     EXPECT_GE(r.likelihood_trace[t], r.likelihood_trace[t - 1] - 0.5)
         << "iteration " << t;
   }
+}
+
+// With neither MAP shrinkage nor the z clamp the phase-2 M-step is the
+// paper's exact maximization (Eq. 10-14), so the observed-data
+// likelihood must never drop from one phase-2 E-step to the next (up to
+// rounding). The f=g warm-up is a different model and the shrunk M-step
+// is a MAP step, so both may drop and are left to the loose check above.
+TEST(EmExt, LikelihoodNonDecreasingAfterWarmup) {
+  EmExtConfig config;
+  config.shrinkage = 0.0;
+  config.z_floor = 0.0;
+  auto check = [&](const Dataset& d, const std::string& what) {
+    EmExtResult r = EmExtEstimator(config).run_detailed(d, 1);
+    // Phase 2 is the last `iterations` trace entries, then the final
+    // E-step's likelihood.
+    ASSERT_LE(r.estimate.iterations, r.likelihood_trace.size()) << what;
+    std::vector<double> phase2(
+        r.likelihood_trace.end() -
+            static_cast<std::ptrdiff_t>(r.estimate.iterations),
+        r.likelihood_trace.end());
+    phase2.push_back(r.log_likelihood);
+    for (std::size_t t = 1; t < phase2.size(); ++t) {
+      double slack = 1e-12 * std::max(1.0, std::fabs(phase2[t - 1]));
+      EXPECT_GE(phase2[t], phase2[t - 1] - slack)
+          << what << " phase-2 step " << t;
+    }
+  };
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    check(generate_parametric(SimKnobs::paper_defaults(30, 40), rng).dataset,
+          "30x40 seed " + std::to_string(seed));
+  }
+  {
+    Rng rng(11);
+    check(generate_parametric(SimKnobs::paper_defaults(200, 2000), rng)
+              .dataset,
+          "200x2000 seed 11");
+  }
+  check(make_twitter_dataset(scenario_by_name("Kirkuk"), 42).dataset,
+        "Kirkuk seed 42");
 }
 
 TEST(EmExt, RecoversParametersOnLargeInstance) {

@@ -108,29 +108,6 @@ TEST(KernelGathers, GatherAddMatchesReferenceBitwise) {
   }
 }
 
-TEST(KernelGathers, GatherAdd2MatchesTwoIndependentChainsBitwise) {
-  Rng rng(17);
-  // Exercise every length relation: idx0 shorter, equal, longer than
-  // idx1 (including empty lists) — the lockstep prefix plus each tail.
-  for (int round = 0; round < 60; ++round) {
-    GatherFixture fx0(rng, 64, round % 7);
-    GatherFixture fx1(rng, 64, (round * 3) % 11);
-    kernels::LogPair seed0{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair seed1{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair p0 = seed0;
-    kernels::LogPair p1 = seed1;
-    kernels::gather_add2(p0, fx0.idx, p1, fx1.idx, fx0.pairs_a.data());
-    kernels::LogPair q0 =
-        kernels::gather_add(seed0, fx0.idx, fx0.pairs_a.data());
-    kernels::LogPair q1 =
-        kernels::gather_add(seed1, fx1.idx, fx0.pairs_a.data());
-    expect_same_bits(p0.t, q0.t, "gather_add2.chain0.t");
-    expect_same_bits(p0.f, q0.f, "gather_add2.chain0.f");
-    expect_same_bits(p1.t, q1.t, "gather_add2.chain1.t");
-    expect_same_bits(p1.f, q1.f, "gather_add2.chain1.f");
-  }
-}
-
 TEST(KernelGathers, GatherSubMatchesNaiveBitwise) {
   Rng rng(12);
   for (int round = 0; round < 50; ++round) {
@@ -487,39 +464,6 @@ TEST(KernelTables, LikelihoodColumnMatchesHoistedWalk) {
   ModelParams bad;
   bad.source.resize(n + 1);
   EXPECT_THROW(table.set_params(bad), std::invalid_argument);
-}
-
-TEST(KernelTables, PriorColumnsMatchesPerColumnWalkBitwise) {
-  // golden_dataset(·, 40, 61): odd assertion count, so the paired
-  // gather's scalar tail column is exercised too. Also check ranges
-  // that start mid-array at both parities.
-  Dataset d = golden::golden_dataset(33, 40, 61);
-  ModelParams params;
-  Rng rng(23);
-  params.z = 0.37;
-  params.source.resize(d.source_count());
-  for (SourceParams& s : params.source) {
-    s.a = rng.uniform(0.05, 0.9);
-    s.b = rng.uniform(0.05, 0.9);
-    s.f = rng.uniform(0.05, 0.9);
-    s.g = rng.uniform(0.05, 0.9);
-  }
-  LikelihoodTable table(d, params);
-  std::size_t m = d.assertion_count();
-  std::vector<double> la(m, 0.0), lb(m, 0.0);
-  const std::size_t ranges[][2] = {{0, m}, {1, m}, {5, 6}, {7, 7}};
-  for (auto [begin, end] : ranges) {
-    std::fill(la.begin(), la.end(), 0.0);
-    std::fill(lb.begin(), lb.end(), 0.0);
-    table.prior_columns(begin, end, la.data(), lb.data());
-    for (std::size_t j = begin; j < end; ++j) {
-      ColumnLogLikelihood c = table.column(j);
-      expect_same_bits(la[j], c.log_given_true + table.log_prior_true(),
-                       "prior_columns.la");
-      expect_same_bits(lb[j], c.log_given_false + table.log_prior_false(),
-                       "prior_columns.lb");
-    }
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -6,10 +6,12 @@
 //     exactly one shard, component edges never cross shards, lists are
 //     the flat views re-sliced (ShardedDataset::check plus direct
 //     comparisons here);
-//   * bit-identity — the sharded EM driver and the sharded Gibbs bound
-//     reproduce the flat engines bit for bit on the scalar backend, at
-//     one thread and at several, for natural and forced-small shard
-//     caps, and when built from an .ssd view instead of a Dataset.
+//   * bit-identity — the sharded EM driver reproduces the hashes
+//     recorded from the single-CSR engine it replaced, and the sharded
+//     Gibbs bound reproduces the flat bound, bit for bit on the scalar
+//     backend, at one thread and at several, for natural and
+//     forced-small shard caps, and when built from an .ssd view
+//     instead of a Dataset.
 //     Sharding is an execution strategy, never an approximation.
 #include <algorithm>
 #include <set>
@@ -35,12 +37,18 @@ using golden::Hash;
 using golden::hash_em_result;
 using test_support::ScopedBackend;
 
-std::uint64_t hash_flat_em(const Dataset& d, const EmExtConfig& config,
-                           std::uint64_t seed) {
-  Hash h;
-  hash_em_result(h, EmExtEstimator(config).run_detailed(d, seed));
-  return h.value();
-}
+// Scalar hashes of the single-CSR EM-Ext engine that EmExtEstimator ran
+// before it was merged into the sharded engine, recorded on the exact
+// inputs below. The first two equal test_kernels.cpp's
+// kGoldenEmExtVote / kGoldenEmExtRandom (same golden_dataset(101, 120,
+// 300) input); the third is the generated scale instance.
+//   golden_dataset(101, 120, 300), default config, seed 5
+constexpr std::uint64_t kSingleCsrVoteHash = 0xbb95d36ec28d1561ull;
+//   same dataset, kRandom init with 3 restarts, seed 9
+constexpr std::uint64_t kSingleCsrRestartsHash = 0xd8bed8de1511a325ull;
+//   generate_scale_ssd(2000 sources, 400 assertions, communities
+//   50-150, gen seed 77), default config, seed 5
+constexpr std::uint64_t kSingleCsrScaleHash = 0x809beb99776e5186ull;
 
 std::uint64_t hash_sharded_em(const ShardedDataset& sharded,
                               const EmExtConfig& config,
@@ -178,10 +186,11 @@ TEST(Shard, BuildFromSsdViewMatchesBuildFromDataset) {
             hash_sharded_em(from_dataset, config, 5));
 }
 
-// The tentpole guarantee: sharded EM == flat EM, bitwise, for every
-// shard layout and thread count, scalar-pinned (the golden reference
-// backend).
-TEST(Shard, EmBitIdenticalToFlatEngine) {
+// The tentpole guarantee: EM-Ext reproduces the single-CSR engine's
+// recorded hash, bitwise, for every shard layout and thread count,
+// scalar-pinned (the golden reference backend) — through
+// EmExtEstimator (default layout) and ShardedEmEstimator alike.
+TEST(Shard, EmBitIdenticalToRecordedHash) {
   ScopedBackend guard(simd::Backend::kScalar);
   Dataset d = golden_dataset(101, 120, 300);
   for (std::size_t threads :
@@ -189,11 +198,13 @@ TEST(Shard, EmBitIdenticalToFlatEngine) {
     ThreadPool pool(threads);
     EmExtConfig config;
     config.pool = &pool;
-    std::uint64_t flat = hash_flat_em(d, config, 5);
+    Hash h;
+    hash_em_result(h, EmExtEstimator(config).run_detailed(d, 5));
+    EXPECT_EQ(h.value(), kSingleCsrVoteHash) << "threads=" << threads;
     for (std::size_t cap : {std::size_t{0}, std::size_t{1},
                             std::size_t{8}, std::size_t{64}}) {
       ShardedDataset sharded = ShardedDataset::build(d, {cap});
-      EXPECT_EQ(hash_sharded_em(sharded, config, 5), flat)
+      EXPECT_EQ(hash_sharded_em(sharded, config, 5), kSingleCsrVoteHash)
           << "threads=" << threads << " cap=" << cap;
     }
   }
@@ -202,15 +213,6 @@ TEST(Shard, EmBitIdenticalToFlatEngine) {
 TEST(Shard, EmBitIdenticalUnderRandomRestarts) {
   ScopedBackend guard(simd::Backend::kScalar);
   Dataset d = golden_dataset(101, 120, 300);
-  std::uint64_t flat = 0;
-  {
-    ThreadPool pool(1);
-    EmExtConfig config;
-    config.pool = &pool;
-    config.init_kind = EmInit::kRandom;
-    config.restarts = 3;
-    flat = hash_flat_em(d, config, 9);
-  }
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
@@ -221,7 +223,8 @@ TEST(Shard, EmBitIdenticalUnderRandomRestarts) {
     for (std::size_t cap : {std::size_t{4}, std::size_t{8},
                             std::size_t{64}}) {
       ShardedDataset sharded = ShardedDataset::build(d, {cap});
-      EXPECT_EQ(hash_sharded_em(sharded, config, 9), flat)
+      EXPECT_EQ(hash_sharded_em(sharded, config, 9),
+                kSingleCsrRestartsHash)
           << "threads=" << threads << " cap=" << cap;
     }
   }
@@ -285,7 +288,6 @@ TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
   std::string path = ::testing::TempDir() + "/shard_scale.ssd";
   generate_scale_ssd(knobs, 77, path);
   SsdView view = SsdView::open_or_throw(path);
-  Dataset d = view.materialize();
   // The auto cap floors at 1024 columns, which would pack this small
   // instance into one shard; pin a small cap so the test exercises a
   // genuinely multi-shard layout.
@@ -297,8 +299,7 @@ TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
     ThreadPool pool(threads);
     EmExtConfig config;
     config.pool = &pool;
-    EXPECT_EQ(hash_sharded_em(sharded, config, 5),
-              hash_flat_em(d, config, 5))
+    EXPECT_EQ(hash_sharded_em(sharded, config, 5), kSingleCsrScaleHash)
         << "threads=" << threads;
   }
 }

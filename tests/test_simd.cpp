@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "backend_guard.h"
-#include "core/likelihood.h"
 #include "kernel_golden.h"
 #include "math/kernels.h"
 #include "math/simd/dispatch.h"
@@ -63,11 +62,6 @@ constexpr std::uint64_t kGatherUlp = 256;
 constexpr std::uint64_t kEpilogueUlp = 128;
 // Polynomial log/log1p plus the table's correction subtraction.
 constexpr std::uint64_t kTableUlp = 512;
-// Whole-column sums through the precompiled gather schedule: terms are
-// regrouped into granule chains AND dependent rows are pre-folded
-// (cd + es rounded once), so the per-column divergence can exceed the
-// single-kernel gather bound.
-constexpr std::uint64_t kColumnUlp = 2048;
 // When cancellation leaves a tiny result, ULP distance is meaningless;
 // below this absolute difference the values are equal for every
 // consumer (inputs are O(10) log terms).
@@ -200,39 +194,6 @@ TEST(SimdKernels, GatherAddAcrossTailLengths) {
     std::string tag = "gather_add len=" + std::to_string(len);
     expect_close(at, got.t, kGatherUlp, tag + " .t");
     expect_close(af, got.f, kGatherUlp, tag + " .f");
-  }
-}
-
-TEST(SimdKernels, GatherAdd2AcrossLengthCombinations) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(405);
-  std::vector<LogPair> terms = random_pairs(rng, 97, -8.0, 8.0);
-  const std::size_t combos[][2] = {{0, 0}, {1, 5},  {5, 1},  {3, 3},
-                                   {7, 2}, {8, 8},  {17, 4}, {4, 17},
-                                   {40, 33}, {64, 64}};
-  for (const auto& combo : combos) {
-    std::vector<std::uint32_t> idx0 =
-        random_indices(rng, combo[0], terms.size());
-    std::vector<std::uint32_t> idx1 =
-        random_indices(rng, combo[1], terms.size());
-    LogPair a0{rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)};
-    LogPair a1{rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)};
-    LogPair ref0 = a0, ref1 = a1;
-    for (std::uint32_t u : idx0) {
-      ref0.t += terms[u].t;
-      ref0.f += terms[u].f;
-    }
-    for (std::uint32_t u : idx1) {
-      ref1.t += terms[u].t;
-      ref1.f += terms[u].f;
-    }
-    simd::gather_add2_avx2(a0, idx0, a1, idx1, terms.data());
-    std::string tag = "gather_add2 " + std::to_string(combo[0]) + "/" +
-                      std::to_string(combo[1]);
-    expect_close(ref0.t, a0.t, kGatherUlp, tag + " c0.t");
-    expect_close(ref0.f, a0.f, kGatherUlp, tag + " c0.f");
-    expect_close(ref1.t, a1.t, kGatherUlp, tag + " c1.t");
-    expect_close(ref1.f, a1.f, kGatherUlp, tag + " c1.f");
   }
 }
 
@@ -629,46 +590,6 @@ TEST(SimdKernels, SweepWeightsTablePackedRefreshMatchesRecords) {
       std::string tag = "sweep_table n=" + std::to_string(n);
       expect_close(ref.t, got.t, kGatherUlp, tag + " .t");
       expect_close(ref.f, got.f, kGatherUlp, tag + " .f");
-    }
-  }
-}
-
-// The E-step gather pass: prior_columns through the precompiled gather
-// schedule (AVX2) against the scalar source-order walk, including
-// ranges that start at an odd column (the schedule's pairs are fixed
-// to columns (2p, 2p+1), so an odd begin peels one column first).
-TEST(BackendAgreement, PriorColumnsScheduleMatchesScalarWalk) {
-  SKIP_WITHOUT_AVX2();
-  Dataset d = golden::golden_dataset(33, 40, 61);
-  ModelParams params;
-  Rng rng(23);
-  params.z = 0.37;
-  params.source.resize(d.source_count());
-  for (SourceParams& s : params.source) {
-    s.a = rng.uniform(0.05, 0.9);
-    s.b = rng.uniform(0.05, 0.9);
-    s.f = rng.uniform(0.05, 0.9);
-    s.g = rng.uniform(0.05, 0.9);
-  }
-  std::size_t m = d.assertion_count();
-  std::vector<double> sla(m), slb(m), vla(m), vlb(m);
-  const std::size_t ranges[][2] = {{0, m}, {1, m}, {5, 6}, {2, 9}, {3, 10}};
-  for (auto [begin, end] : ranges) {
-    {
-      test_support::ScopedBackend pin(simd::Backend::kScalar);
-      LikelihoodTable table(d, params);
-      table.prior_columns(begin, end, sla.data(), slb.data());
-    }
-    {
-      test_support::ScopedBackend pin(simd::Backend::kAvx2);
-      LikelihoodTable table(d, params);
-      table.prior_columns(begin, end, vla.data(), vlb.data());
-    }
-    for (std::size_t j = begin; j < end; ++j) {
-      std::string tag = "prior_columns [" + std::to_string(begin) + "," +
-                        std::to_string(end) + ") j=" + std::to_string(j);
-      expect_close(sla[j], vla[j], kColumnUlp, tag + " la");
-      expect_close(slb[j], vlb[j], kColumnUlp, tag + " lb");
     }
   }
 }
