@@ -1,0 +1,816 @@
+// The paper's evaluation as one table of experiments: Table I, the
+// bound-precision Figs. 3-5, the estimator Figs. 7-10, Table III and
+// Fig. 11, the ablations of DESIGN.md §5 and the streaming extension.
+//
+//   bench_paper                                  # every experiment
+//   bench_paper fig7_estimators_vs_sources table1
+//
+// Each experiment prints aligned tables and writes the record
+// <SS_RESULTS_DIR|bench_results>/<name>.json. Knobs: SS_REPS, SS_FAST,
+// SS_SCALE, SS_THREADS, SS_RESULTS_DIR. An unknown name exits 2.
+#include <algorithm>
+
+#include "apollo/grading.h"
+#include "bench_common.h"
+#include "bounds/convolution_bound.h"
+#include "bounds/dataset_bound.h"
+#include "bounds/exact_bound.h"
+#include "core/em_ext.h"
+#include "core/streaming_em.h"
+#include "estimators/em_ipsn12.h"
+#include "estimators/em_social.h"
+#include "estimators/registry.h"
+#include "eval/metrics.h"
+#include "simgen/parametric_gen.h"
+#include "simgen/procedural_gen.h"
+#include "twitter/builder.h"
+
+namespace ss::bench {
+namespace {
+
+// Fills the record `doc`, which already holds "experiment": <name>, and
+// prints the experiment's tables.
+using Body = std::function<void(JsonValue& doc)>;
+
+struct Experiment {
+  const char* name;  // record name, also the command-line name
+  const char* title;
+  const char* paper_ref;
+  Body run;
+  const char* expected;  // closing note after the tables, or nullptr
+};
+
+JsonValue object(
+    std::initializer_list<std::pair<std::string, JsonValue>> members) {
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : members) out[key] = value;
+  return out;
+}
+
+// SS_REPS / SS_FAST repetition count, announced as "reps<what>: N<note>".
+std::size_t announce_reps(std::size_t paper_default,
+                          std::size_t fast_default, const char* what,
+                          const std::string& note) {
+  std::size_t reps = bench_repetitions(paper_default, fast_default);
+  std::printf("reps%s: %zu%s\n\n", what, reps, note.c_str());
+  return reps;
+}
+
+// A printed table whose rows are mirrored into the record's "rows".
+struct Rows {
+  TablePrinter table;
+  JsonValue json = JsonValue::array();
+
+  void add(std::vector<std::string> cells, JsonValue row) {
+    table.add_row(std::move(cells));
+    json.push_back(std::move(row));
+  }
+  void print_into(JsonValue& doc) {
+    table.print();
+    doc["rows"] = std::move(json);
+  }
+};
+
+double accuracy(const Dataset& dataset, const EstimateResult& est) {
+  return classify(dataset, est).accuracy();
+}
+
+// ---- Figs. 3-5 and 7-10: one knob swept, paper defaults elsewhere ----
+
+struct Point {
+  std::string label;  // x-axis value as printed
+  SimKnobs knobs;
+};
+
+std::vector<Point> by_sources(std::initializer_list<std::size_t> ns) {
+  std::vector<Point> out;
+  for (std::size_t n : ns) {
+    out.push_back({std::to_string(n), SimKnobs::paper_defaults(n, 50)});
+  }
+  return out;
+}
+
+std::vector<Point> by_assertions(std::size_t n) {
+  std::vector<Point> out;
+  for (std::size_t m = 10; m <= 100; m += 10) {
+    out.push_back({std::to_string(m), SimKnobs::paper_defaults(n, m)});
+  }
+  return out;
+}
+
+std::vector<Point> by_trees(std::size_t n) {
+  std::vector<Point> out;
+  for (std::size_t tau = 1; tau <= 11; ++tau) {
+    SimKnobs knobs = SimKnobs::paper_defaults(n, 50);
+    knobs.tau_lo = knobs.tau_hi = tau;
+    out.push_back({std::to_string(tau), knobs});
+  }
+  return out;
+}
+
+// Dependent-claim odds p^depT/(1-p^depT) = 1.1..2.0, independent odds 2.
+std::vector<Point> by_dep_odds(std::size_t n) {
+  std::vector<Point> out;
+  for (int step = 0; step <= 9; ++step) {
+    double odds = 1.1 + 0.1 * step;
+    SimKnobs knobs = SimKnobs::paper_defaults(n, 50);
+    knobs.p_indep_true = Range::fixed(prob_from_odds(2.0));
+    knobs.p_dep_true = Range::fixed(prob_from_odds(odds));
+    out.push_back({strprintf("%.1f", odds), knobs});
+  }
+  return out;
+}
+
+// Figs. 3-5: the exact bound (Eq. 3) against the Gibbs approximation
+// (Algorithm 1 / Eq. 6), with false-positive and false-negative parts.
+MetricRow bound_rep(const SimKnobs& knobs, Rng& rng) {
+  SimInstance inst = generate_parametric(knobs, rng);
+  auto exact = exact_dataset_bound(inst.dataset, inst.true_params).bound;
+  GibbsBoundConfig config;
+  config.min_sweeps = 1000;
+  config.max_sweeps = 8000;
+  auto approx = gibbs_dataset_bound(inst.dataset, inst.true_params,
+                                    rng.engine()(), config)
+                    .bound;
+  return {{"exact", exact.error}, {"approx", approx.error},
+          {"diff", std::fabs(exact.error - approx.error)},
+          {"exact_fp", exact.false_positive},
+          {"approx_fp", approx.false_positive},
+          {"exact_fn", exact.false_negative},
+          {"approx_fn", approx.false_negative}};
+}
+
+Body bound_sweep(const char* x, std::vector<Point> points) {
+  return [=](JsonValue& doc) {
+    std::size_t reps =
+        announce_reps(20, 5, " per point", " (SS_REPS overrides)");
+    doc["x"] = x;
+    doc["reps"] = reps;
+    Rows out{TablePrinter({x, "exact bound", "approx bound", "|diff|",
+                           "exact FP", "approx FP", "exact FN",
+                           "approx FN"})};
+    for (const Point& point : points) {
+      MetricSummary s = run_repetitions(
+          reps, 1234,
+          [&](std::size_t, Rng& rng) { return bound_rep(point.knobs, rng); });
+      std::vector<std::string> cells = {point.label};
+      JsonValue row = object({{"x", point.label}});
+      for (const char* key : {"exact", "approx", "diff", "exact_fp",
+                              "approx_fp", "exact_fn", "approx_fn"}) {
+        cells.push_back(format_double(s[key].mean(), 4));
+        row[key] = s[key].mean();
+        row[std::string(key) + "_ci95"] = s[key].ci95_halfwidth();
+      }
+      out.add(std::move(cells), std::move(row));
+    }
+    out.print_into(doc);
+  };
+}
+
+// Figs. 7-10: accuracy, false-positive and false-negative rates of
+// EM-Ext, EM-Social and EM (IPSN'12) against the transformed bound
+// ("Optimal" = 1 - Err via the Gibbs approximation).
+MetricRow estimator_rep(const SimKnobs& knobs, Rng& rng) {
+  SimInstance inst = generate_parametric(knobs, rng);
+  MetricRow row;
+  auto record = [&](const std::string& name, const EstimateResult& est) {
+    auto m = classify(inst.dataset, est);
+    row[name + ".acc"] = m.accuracy();
+    row[name + ".fp"] = m.false_positive_rate();
+    row[name + ".fn"] = m.false_negative_rate();
+  };
+  std::uint64_t seed = rng.engine()();
+  record("EM-Ext", EmExtEstimator().run(inst.dataset, seed));
+  record("EM-Social", EmSocialEstimator().run(inst.dataset, seed));
+  record("EM", EmIpsn12Estimator().run(inst.dataset, seed));
+  GibbsBoundConfig config;
+  config.min_sweeps = 300;
+  config.max_sweeps = 3000;
+  config.tol = 1e-4;
+  config.patience = 20;
+  auto bound =
+      gibbs_dataset_bound(inst.dataset, inst.true_params, seed, config);
+  row["Optimal.acc"] = bound.bound.optimal_accuracy();
+  row["Optimal.fp"] = bound.bound.false_positive;
+  row["Optimal.fn"] = bound.bound.false_negative;
+  return row;
+}
+
+Body estimator_sweep(const char* x, std::vector<Point> points) {
+  return [=](JsonValue& doc) {
+    // The paper averages 300 repetitions; 60 gives CIs well under a
+    // point of accuracy and keeps the default full run quick.
+    std::size_t reps = announce_reps(60, 15, " per point",
+                                     " (SS_REPS overrides; paper used 300)");
+    doc["x"] = x;
+    doc["reps"] = reps;
+    const std::string algos[] = {"Optimal", "EM-Ext", "EM-Social", "EM"};
+    const char* metrics[] = {"acc", "fp", "fn"};
+    std::vector<TablePrinter> tables(
+        3, TablePrinter({x, "Optimal", "EM-Ext", "EM-Social", "EM"}));
+    JsonValue rows = JsonValue::array();
+    for (const Point& point : points) {
+      MetricSummary s =
+          run_repetitions(reps, 777, [&](std::size_t, Rng& rng) {
+            return estimator_rep(point.knobs, rng);
+          });
+      for (std::size_t k = 0; k < 3; ++k) {
+        std::vector<std::string> cells = {point.label};
+        for (const auto& algo : algos) {
+          cells.push_back(
+              format_double(s[algo + "." + metrics[k]].mean(), 4));
+        }
+        tables[k].add_row(std::move(cells));
+      }
+      JsonValue row = object({{"x", point.label}});
+      for (const auto& algo : algos) {
+        for (const char* metric : metrics) {
+          std::string key = algo + "." + metric;
+          row[key] = s[key].mean();
+          row[key + "_ci95"] = s[key].ci95_halfwidth();
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+    const char* captions[] = {
+        "(a) estimation accuracy\n",
+        "\n(b) false positives (portion of all assertions)\n",
+        "\n(c) false negatives (portion of all assertions)\n"};
+    for (std::size_t k = 0; k < 3; ++k) {
+      std::printf("%s", captions[k]);
+      tables[k].print();
+    }
+    doc["rows"] = std::move(rows);
+  };
+}
+
+// ---- Table I, Table III and Fig. 11 ----
+
+// The paper's three-source joint claim-combination likelihoods and the
+// optimal estimator's expected error via Eq. 3.
+void table1(JsonValue& doc) {
+  const std::vector<double> p_true = {
+      0.18546216, 0.17606773, 0.00033244, 0.01971855,
+      0.24427898, 0.19063986, 0.02321803, 0.16028224};
+  const std::vector<double> p_false = {
+      0.05851677, 0.05300123, 0.12803859, 0.16032756,
+      0.14231588, 0.08222352, 0.18716734, 0.18840910};
+  TablePrinter table({"SC_j", "P(SC_j|C_j=1,D,theta)",
+                      "P(SC_j|C_j=0,D,theta)", "min term (z=0.5)"});
+  for (int row = 0; row < 8; ++row) {
+    std::string bits = {static_cast<char>('0' + ((row >> 2) & 1)),
+                        static_cast<char>('0' + ((row >> 1) & 1)),
+                        static_cast<char>('0' + (row & 1))};
+    table.add_row({bits, format_double(p_true[row], 8),
+                   format_double(p_false[row], 8),
+                   format_double(0.5 * std::min(p_true[row], p_false[row]),
+                                 8)});
+  }
+  table.print();
+  BoundResult bound = bound_from_joint(p_true, p_false, 0.5);
+  std::printf("\nEq. 3 error bound           : %.8f\n", bound.error);
+  std::printf("paper's reported value      : 0.26980433\n");
+  std::printf("false-positive part         : %.8f\n", bound.false_positive);
+  std::printf("false-negative part         : %.8f\n", bound.false_negative);
+  std::printf("=> no fact-finder on this channel can average below "
+              "%.2f%% error\n",
+              bound.error * 100.0);
+  doc["paper_value"] = 0.26980433;
+  doc["computed"] = bound.error;
+  doc["false_positive"] = bound.false_positive;
+  doc["false_negative"] = bound.false_negative;
+}
+
+// The crawled 2015 datasets are unavailable; the Twitter substrate
+// regenerates the events at matching scale and personality (DESIGN.md
+// §3), printed beside the paper's values.
+void table3(JsonValue& doc) {
+  double scale = scenario_scale_from_env();
+  std::printf("scenario scale: %.2f (SS_SCALE overrides)\n\n", scale);
+  doc["scale"] = scale;
+  const char* paper[] = {"3703/5403/7192/4242", "2795/4816/6188/3079",
+                         "2873/7764/9426/5831", "3537/5174/7148/4332",
+                         "23513/38844/41249/38794"};
+  Rows out{TablePrinter({"dataset", "#assertions", "#sources",
+                         "#total claims", "#original claims", "purity",
+                         "paper (asrt/src/claims/orig)"})};
+  std::size_t idx = 0;
+  for (const TwitterScenario& base : paper_scenarios()) {
+    TwitterScenario scenario = base.scaled(scale);
+    BuiltDataset built = make_twitter_dataset(scenario, 1600 + idx);
+    DatasetSummary s = built.dataset.summary();
+    out.add({scenario.name, std::to_string(s.assertions),
+             std::to_string(s.sources), std::to_string(s.total_claims),
+             std::to_string(s.original_claims),
+             format_double(built.clustering.purity, 3), paper[idx++]},
+            object({{"name", scenario.name}, {"assertions", s.assertions},
+                    {"sources", s.sources}, {"claims", s.total_claims},
+                    {"original_claims", s.original_claims},
+                    {"true_assertions", s.true_assertions},
+                    {"false_assertions", s.false_assertions},
+                    {"opinion_assertions", s.opinion_assertions},
+                    {"purity", built.clustering.purity}}));
+  }
+  out.print_into(doc);
+}
+
+// Top-100 accuracy #True / (#True + #False + #Opinion) of every
+// registered fact-finder by the merge-grade-deanonymize protocol.
+void fig11(JsonValue& doc) {
+  constexpr std::size_t kTopK = 100;
+  double scale = scenario_scale_from_env();
+  std::printf("scenario scale: %.2f | top-k: %zu\n\n", scale, kTopK);
+  doc["scale"] = scale;
+  doc["top_k"] = kTopK;
+  std::vector<std::string> algos = estimator_names();
+  std::vector<std::string> headers = {"dataset"};
+  headers.insert(headers.end(), algos.begin(), algos.end());
+  Rows out{TablePrinter(headers)};
+  std::size_t idx = 0;
+  for (const TwitterScenario& base : paper_scenarios()) {
+    TwitterScenario scenario = base.scaled(scale);
+    BuiltDataset built = make_twitter_dataset(scenario, 1100 + idx++);
+    EmpiricalStudyResult study =
+        run_empirical_protocol(built.dataset, algos, kTopK, 42);
+    std::vector<std::string> cells = {scenario.name};
+    JsonValue row = object({{"name", scenario.name}});
+    for (const auto& [algo, b] : study.per_algorithm) {
+      cells.push_back(format_double(b.accuracy(), 3));
+      row[algo] = object({{"accuracy", b.accuracy()},
+                          {"true", b.graded_true},
+                          {"false", b.graded_false},
+                          {"opinion", b.graded_opinion}});
+    }
+    out.add(std::move(cells), std::move(row));
+  }
+  out.print_into(doc);
+}
+
+// ---- Ablations (DESIGN.md §5) ----
+
+// A1: Algorithm 1 accumulates sum_t min(...) / sum_t total(...) over
+// samples already drawn from P(SC), weighting likely samples twice; the
+// unbiased estimator is the plain Monte-Carlo mean of the per-sample
+// minimum posterior. Both, and the convolution bound, against exact.
+void ablation_bound_estimators(JsonValue& doc) {
+  std::size_t reps = announce_reps(20, 5, " per point", "");
+  Rows out{TablePrinter({"n", "exact", "unbiased MC", "|MC-exact|",
+                         "Algorithm 1", "|Alg1-exact|", "convolution",
+                         "|conv-exact|"})};
+  for (std::size_t n : {5u, 10u, 15u, 20u}) {
+    SimKnobs knobs = SimKnobs::paper_defaults(n, 50);
+    MetricSummary s = run_repetitions(reps, 41, [&](std::size_t, Rng& rng) {
+      SimInstance inst = generate_parametric(knobs, rng);
+      double err =
+          exact_dataset_bound(inst.dataset, inst.true_params).bound.error;
+      GibbsBoundConfig mc;
+      mc.kind = GibbsEstimatorKind::kUnbiasedMc;
+      mc.min_sweeps = 1000;
+      mc.max_sweeps = 8000;
+      GibbsBoundConfig alg1 = mc;
+      alg1.kind = GibbsEstimatorKind::kAlgorithm1;
+      std::uint64_t seed = rng.engine()();
+      double r_mc = gibbs_dataset_bound(inst.dataset, inst.true_params,
+                                        seed, mc)
+                        .bound.error;
+      double r_a1 = gibbs_dataset_bound(inst.dataset, inst.true_params,
+                                        seed, alg1)
+                        .bound.error;
+      double conv = 0.0;
+      for (std::size_t j = 0; j < inst.dataset.assertion_count(); ++j) {
+        conv += convolution_bound(make_column_model(
+                                      inst.true_params,
+                                      inst.dataset.dependency, j))
+                    .error;
+      }
+      conv /= static_cast<double>(inst.dataset.assertion_count());
+      return MetricRow{{"exact", err}, {"mc", r_mc},
+                       {"mc_gap", std::fabs(r_mc - err)}, {"alg1", r_a1},
+                       {"alg1_gap", std::fabs(r_a1 - err)}, {"conv", conv},
+                       {"conv_gap", std::fabs(conv - err)}};
+    });
+    std::vector<std::string> cells = {std::to_string(n)};
+    JsonValue row = object({{"n", n}});
+    for (const char* key :
+         {"exact", "mc", "mc_gap", "alg1", "alg1_gap", "conv", "conv_gap"}) {
+      cells.push_back(format_double(s[key].mean(), 4));
+      row[key] = s[key].mean();
+    }
+    out.add(std::move(cells), std::move(row));
+  }
+  out.print_into(doc);
+}
+
+// A2: the parametric generator (per-cell Bernoulli, known theta) feeds
+// the bounds; the procedural one is Section V-A's pool process. Does the
+// estimator ranking survive the swap where dependent claims mislead?
+void ablation_generator(JsonValue& doc) {
+  std::size_t reps = announce_reps(
+      40, 10, " per generator",
+      " (n = 40, m = 50, misleading dependent claims)");
+  Rows out{TablePrinter(
+      {"generator", "EM-Ext", "EM-Social", "EM", "EM-Ext wins?"})};
+  for (bool procedural : {false, true}) {
+    SimKnobs knobs = SimKnobs::paper_defaults(40, 50);
+    knobs.p_dep_true = {0.15, 0.25};
+    knobs.p_dep = {0.5, 0.7};
+    if (procedural) {
+      // The literal pool process dilutes informativeness by the
+      // pool-size ratio; a smaller true pool keeps the instance
+      // informative (DESIGN.md §5).
+      knobs.d = {0.35, 0.45};
+      knobs.p_indep_true = {0.75, 0.85};
+    }
+    MetricSummary s = run_repetitions(reps, 47, [&](std::size_t, Rng& rng) {
+      SimInstance inst = procedural ? generate_procedural(knobs, rng)
+                                    : generate_parametric(knobs, rng);
+      const Dataset& d = inst.dataset;
+      return MetricRow{
+          {"ext", accuracy(d, EmExtEstimator().run(d, 1))},
+          {"social", accuracy(d, EmSocialEstimator().run(d, 1))},
+          {"em", accuracy(d, EmIpsn12Estimator().run(d, 1))}};
+    });
+    double ext = s["ext"].mean();
+    bool wins = ext >= s["social"].mean() && ext >= s["em"].mean();
+    out.add({procedural ? "procedural (V-A literal)" : "parametric",
+             mean_ci(s["ext"]), mean_ci(s["social"]), mean_ci(s["em"]),
+             wins ? "yes" : "NO"},
+            object({{"generator", procedural ? "procedural" : "parametric"},
+                    {"em_ext", ext}, {"em_social", s["social"].mean()},
+                    {"em", s["em"].mean()}}));
+  }
+  out.print_into(doc);
+}
+
+// A3: Algorithm 2 line 1 says "random probability", which can land in a
+// basin where z collapses and every assertion is called false. The
+// library's vote prior, random init, random best-of-10 by final
+// likelihood and oracle init (the generating parameters); rows 5-7
+// repeat rows 1-3 with the paper's literal M-step (shrinkage 0).
+void ablation_em_init(JsonValue& doc) {
+  std::size_t reps =
+      announce_reps(40, 10, "", " (n = 50, m = 50, paper defaults)");
+  const char* inits[] = {"1.vote-prior", "2.random",        "3.random-x10",
+                         "4.oracle",     "5.vote-prior/s0", "6.random/s0",
+                         "7.random-x10/s0"};
+  SimKnobs knobs = SimKnobs::paper_defaults(50, 50);
+  MetricSummary s = run_repetitions(reps, 53, [&](std::size_t, Rng& rng) {
+    SimInstance inst = generate_parametric(knobs, rng);
+    std::uint64_t seed = rng.engine()();
+    EmExtConfig configs[7];  // configs[i] is row inits[i]
+    configs[3].init = inst.true_params;
+    for (std::size_t i : {4u, 5u, 6u}) configs[i].shrinkage = 0.0;
+    for (std::size_t i : {1u, 2u, 5u, 6u}) {
+      configs[i].init_kind = EmInit::kRandom;
+    }
+    configs[2].restarts = configs[6].restarts = 10;
+    MetricRow row;
+    for (std::size_t i = 0; i < 7; ++i) {
+      EmExtResult r =
+          EmExtEstimator(configs[i]).run_detailed(inst.dataset, seed);
+      row[std::string(inits[i]) + ".acc"] =
+          accuracy(inst.dataset, r.estimate);
+      row[std::string(inits[i]) + ".ll"] = r.log_likelihood;
+    }
+    return row;
+  });
+  Rows out{TablePrinter({"initialization", "accuracy", "final log-lik"})};
+  for (const char* name : inits) {
+    const StreamingStats& acc = s[std::string(name) + ".acc"];
+    double ll = s[std::string(name) + ".ll"].mean();
+    out.add({name, mean_ci(acc), format_double(ll, 1)},
+            object({{"init", name}, {"accuracy", acc.mean()},
+                    {"log_likelihood", ll}}));
+  }
+  out.print_into(doc);
+}
+
+// A4: how many post-burn-in sweeps the approximate bound needs before it
+// is indistinguishable from exact.
+void ablation_gibbs_samples(JsonValue& doc) {
+  std::size_t reps =
+      announce_reps(20, 5, " per point", " (n = 20, m = 50)");
+  SimKnobs knobs = SimKnobs::paper_defaults(20, 50);
+  Rows out{TablePrinter(
+      {"sweeps", "mean |approx-exact|", "max |approx-exact|"})};
+  for (std::size_t sweeps : {50u, 100u, 250u, 500u, 1000u, 2500u, 5000u}) {
+    MetricSummary s = run_repetitions(reps, 43, [&](std::size_t, Rng& rng) {
+      SimInstance inst = generate_parametric(knobs, rng);
+      auto exact = exact_dataset_bound(inst.dataset, inst.true_params);
+      GibbsBoundConfig config;
+      config.min_sweeps = sweeps;
+      config.max_sweeps = sweeps;
+      config.burn_in_sweeps = std::max<std::size_t>(20, sweeps / 10);
+      auto approx = gibbs_dataset_bound(inst.dataset, inst.true_params,
+                                        rng.engine()(), config);
+      return MetricRow{
+          {"gap", std::fabs(approx.bound.error - exact.bound.error)}};
+    });
+    const StreamingStats& gap = s["gap"];
+    out.add({std::to_string(sweeps), format_double(gap.mean(), 5),
+             format_double(gap.max(), 5)},
+            object({{"sweeps", sweeps}, {"mean_gap", gap.mean()},
+                    {"max_gap", gap.max()}}));
+  }
+  out.print_into(doc);
+}
+
+// A5: EM-Ext MAP-shrinks per-source rates toward the pooled rate; 0 is
+// the paper's literal M-step (high variance at m = 50), large values
+// approach one pooled-rate model (biased when sources differ).
+void ablation_shrinkage(JsonValue& doc) {
+  std::size_t reps =
+      announce_reps(40, 10, " per point", " (n = 50, m = 50)");
+  Rows out{TablePrinter({"regime", "shrinkage", "EM-Ext accuracy",
+                         "EM-Social accuracy (ref)"})};
+  for (bool informative : {false, true}) {
+    SimKnobs knobs = SimKnobs::paper_defaults(50, 50);
+    if (informative) {
+      knobs.p_indep_true = Range::fixed(prob_from_odds(2.0));
+      knobs.p_dep_true = Range::fixed(prob_from_odds(2.0));
+    }
+    const char* regime =
+        informative ? "dep odds = 2.0" : "paper defaults (odds ~ 1)";
+    for (double strength : {0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0}) {
+      MetricSummary s =
+          run_repetitions(reps, 59, [&](std::size_t, Rng& rng) {
+            SimInstance inst = generate_parametric(knobs, rng);
+            const Dataset& d = inst.dataset;
+            EmExtConfig config;
+            config.shrinkage = strength;
+            return MetricRow{
+                {"ext", accuracy(d, EmExtEstimator(config).run(d, 1))},
+                {"social", accuracy(d, EmSocialEstimator().run(d, 1))}};
+          });
+      out.add({regime, format_double(strength, 0), mean_ci(s["ext"]),
+               mean_ci(s["social"])},
+              object({{"regime", regime}, {"shrinkage", strength},
+                      {"em_ext", s["ext"].mean()},
+                      {"em_social", s["social"].mean()}}));
+    }
+  }
+  out.print_into(doc);
+}
+
+// A7: the paper calls a claim dependent when an *ancestor* asserted
+// first, but its Figure-1 walkthrough uses only direct followees.
+void ablation_exposure_scope(JsonValue& doc) {
+  double scale = env_double("SS_SCALE", 0.15);
+  std::size_t reps = announce_reps(5, 2, " per scenario",
+                                   strprintf(" (scale %.2f)", scale));
+  Rows out{TablePrinter({"scenario", "scope", "exposed cells",
+                         "dependent claims", "EM-Ext top-100"})};
+  for (const char* name : {"Kirkuk", "LA Marathon"}) {
+    for (ExposureScope scope :
+         {ExposureScope::kDirect, ExposureScope::kTransitive}) {
+      StreamingStats exposed, dependent, top100;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        TwitterScenario scenario = scenario_by_name(name).scaled(scale);
+        BuiltDataset built =
+            build_dataset(simulate_twitter(scenario, 900 + rep));
+        Dataset d = built.dataset;
+        d.dependency =
+            DependencyIndicators::from_graph(d.claims, built.follows, scope);
+        exposed.add(
+            static_cast<double>(d.dependency.exposed_cell_count()));
+        dependent.add(static_cast<double>(
+            d.claims.claim_count() -
+            count_original_claims(d.claims, d.dependency)));
+        top100.add(top_k_true_fraction(d, EmExtEstimator().run(d, 1), 100));
+      }
+      const char* scope_name =
+          scope == ExposureScope::kDirect ? "direct" : "transitive";
+      out.add({name, scope_name, format_double(exposed.mean(), 0),
+               format_double(dependent.mean(), 0), mean_ci(top100, 3)},
+              object({{"scenario", name}, {"scope", scope_name},
+                      {"exposed_cells", exposed.mean()},
+                      {"dependent_claims", dependent.mean()},
+                      {"em_ext_top100", top100.mean()}}));
+    }
+  }
+  out.print_into(doc);
+}
+
+// ---- E1: the recursive (streaming) estimator ----
+
+// Concatenates batches (same sources, disjoint assertion blocks).
+Dataset concat_batches(const std::vector<Dataset>& batches) {
+  std::size_t n = batches.front().source_count();
+  std::vector<Claim> claims;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> exposed;
+  Dataset all;
+  std::uint32_t offset = 0;
+  for (const Dataset& b : batches) {
+    for (const Claim& c : b.claims.to_claims()) {
+      claims.push_back({c.source, c.assertion + offset, c.time});
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::uint32_t j : b.dependency.exposed_assertions(i)) {
+        exposed.emplace_back(static_cast<std::uint32_t>(i), j + offset);
+      }
+    }
+    all.truth.insert(all.truth.end(), b.truth.begin(), b.truth.end());
+    offset += static_cast<std::uint32_t>(b.assertion_count());
+  }
+  all.name = "concat";
+  all.claims = SourceClaimMatrix(n, offset, claims);
+  all.dependency = DependencyIndicators::from_cells(n, offset, exposed);
+  return all;
+}
+
+// A fixed population reports over 12 windows. The streaming estimator
+// against offline EM-Ext on each window alone and on all windows so far
+// (the gold standard the recursion approximates at O(window) cost).
+void ext_streaming(JsonValue& doc) {
+  constexpr int kWindows = 12;
+  constexpr int kWarmup = 2;  // windows not scored
+  std::size_t reps =
+      announce_reps(30, 8, " per point", " (n = 50, 12 windows)");
+  Rows out{TablePrinter({"window size", "streaming", "isolated offline",
+                         "full-history offline"})};
+  for (std::size_t window : {8u, 15u, 30u}) {
+    MetricSummary s = run_repetitions(reps, 71, [&](std::size_t, Rng& rng) {
+      SimKnobs knobs = SimKnobs::paper_defaults(50, window);
+      knobs.p_indep_true = {0.35, 0.95};
+      knobs.p_dep_true = {0.3, 0.9};
+      SimInstance population = generate_parametric(knobs, rng);
+      StreamingEmExt streaming(50);
+      std::vector<Dataset> history;
+      double stream_acc = 0.0, isolated_acc = 0.0, full_acc = 0.0;
+      for (int w = 0; w < kWindows; ++w) {
+        SimInstance batch = generate_parametric_batch(
+            population.true_params, population.forest, window, rng);
+        const Dataset& d = batch.dataset;
+        StreamingBatchResult r = streaming.observe(d);
+        history.push_back(d);
+        if (w < kWarmup) continue;
+        EstimateResult est;
+        est.belief = r.belief;
+        est.log_odds = r.log_odds;
+        est.probabilistic = true;
+        stream_acc += accuracy(d, est);
+        isolated_acc += accuracy(d, EmExtEstimator().run(d, 1));
+        Dataset all = concat_batches(history);
+        EstimateResult full = EmExtEstimator().run(all, 1);
+        // Score only this window's block within the concatenation.
+        std::size_t block = all.assertion_count() - d.assertion_count();
+        EstimateResult window_view;
+        window_view.belief.assign(
+            full.belief.begin() + static_cast<long>(block),
+            full.belief.end());
+        window_view.probabilistic = true;
+        full_acc += accuracy(d, window_view);
+      }
+      double measured = kWindows - kWarmup;
+      return MetricRow{{"stream", stream_acc / measured},
+                       {"isolated", isolated_acc / measured},
+                       {"full", full_acc / measured}};
+    });
+    out.add({std::to_string(window), mean_ci(s["stream"]),
+             mean_ci(s["isolated"]), mean_ci(s["full"])},
+            object({{"window", window}, {"streaming", s["stream"].mean()},
+                    {"isolated", s["isolated"].mean()},
+                    {"full_history", s["full"].mean()}}));
+  }
+  out.print_into(doc);
+}
+
+// ---- The experiment table ----
+
+const std::vector<Experiment>& experiments() {
+  static const std::vector<Experiment> table = {
+      {"table1", "Table I — computing the error bound: an example",
+       "ICDCS'16 Section III-A, Table I (Err = 0.26980433)", table1,
+       nullptr},
+      {"fig3_bound_vs_sources",
+       "Figure 3 — approximate vs exact bound, sweeping n",
+       "ICDCS'16 Fig. 3 (n = 5..25, m = 50, defaults)",
+       bound_sweep("n", by_sources({5, 10, 15, 20, 25})),
+       "expected shape: approx tracks exact within ~0.01 at every n; "
+       "bound shrinks as sources are added."},
+      {"fig4_bound_vs_trees",
+       "Figure 4 — approximate vs exact bound, sweeping tau",
+       "ICDCS'16 Fig. 4 (tau = 1..11, n = 20, m = 50)",
+       bound_sweep("tau", by_trees(20)),
+       "expected shape: approx tracks exact at every tau; more "
+       "independent roots (higher tau) => lower bound."},
+      {"fig5_bound_vs_reliability",
+       "Figure 5 — approximate vs exact bound, sweeping dependent odds",
+       "ICDCS'16 Fig. 5 (odds 1.1..2.0, indep odds = 2, n = 20)",
+       bound_sweep("dep odds", by_dep_odds(20)),
+       "expected shape: approx tracks exact across the sweep; more "
+       "discriminative dependent claims => lower bound."},
+      {"fig7_estimators_vs_sources",
+       "Figure 7 — estimators vs number of sources",
+       "ICDCS'16 Fig. 7 (n = 20..50 step 5, m = 50)",
+       estimator_sweep("n", by_sources({20, 25, 30, 35, 40, 45, 50})),
+       "expected shape: EM-Ext tracks Optimal closest; EM's false\n"
+       "positives grow with n (dependencies mistaken for support)."},
+      {"fig8_estimators_vs_assertions",
+       "Figure 8 — estimators vs number of assertions",
+       "ICDCS'16 Fig. 8 (m = 10..100 step 10, n = 100)",
+       estimator_sweep("m", by_assertions(100)),
+       "expected shape: accuracy rises with m for every algorithm; the\n"
+       "EM-Ext-to-Optimal gap narrows as parameters are better "
+       "estimated."},
+      {"fig9_estimators_vs_trees",
+       "Figure 9 — estimators vs number of dependency trees",
+       "ICDCS'16 Fig. 9 (tau = 1..11, n = 50, m = 50)",
+       estimator_sweep("tau", by_trees(50)),
+       "expected shape: EM-Ext leads at every tau; the EM gap is widest\n"
+       "at small tau, where cascades dominate the claim mix."},
+      {"fig10_estimators_vs_reliability",
+       "Figure 10 — estimators vs dependent-claim discrimination",
+       "ICDCS'16 Fig. 10 (dep odds 1.1..2.0, indep odds 2, n = 50)",
+       estimator_sweep("dep odds", by_dep_odds(50)),
+       "expected shape: EM-Ext >= EM-Social everywhere, with the margin\n"
+       "growing as dependent odds rise; EM approaches EM-Ext near odds 2."},
+      {"table3", "Table III — information summary of Twitter datasets",
+       "ICDCS'16 Table III (simulated events; SS_SCALE scales)", table3,
+       "expected shape: per-dataset scale within the paper's order of "
+       "magnitude; Paris Attack ~6x the others; original claims a large "
+       "majority everywhere."},
+      {"fig11", "Figure 11 — empirical evaluation on Twitter datasets",
+       "ICDCS'16 Fig. 11 (7 algorithms x 5 events, top-100)", fig11,
+       "expected shape: EM-Ext highest on every dataset; EM-Social\n"
+       "second among principled methods; EM > Voting; the three\n"
+       "heuristics (Sums, Average.Log, Truth-Finder) vary widely."},
+      {"ablation_bound_estimators",
+       "Ablation A1 — Algorithm-1 ratio vs unbiased MC bound",
+       "DESIGN.md §5 (Gibbs estimator choice)", ablation_bound_estimators,
+       "expected: the unbiased MC estimator sits within MC noise of exact "
+       "(the paper's reported <=0.013 gaps); the literal ratio form shows "
+       "a systematic offset. The library defaults to the unbiased "
+       "estimator."},
+      {"ablation_generator",
+       "Ablation A2 — parametric vs procedural generator",
+       "DESIGN.md §5 (generator fidelity)", ablation_generator,
+       "expected: EM-Ext leads under both generators — the qualitative "
+       "result does not hinge on generator fidelity."},
+      {"ablation_em_init", "Ablation A3 — EM-Ext initialization strategies",
+       "Algorithm 2 line 1 (DESIGN.md §5)", ablation_em_init,
+       "expected: with the default shrinkage all inits land close to "
+       "oracle (the prior smooths the landscape); with the paper's literal "
+       "M-step (s0 rows) random init falls into z-collapse basins that "
+       "best-of-10 restarts cannot repair, because the degenerate optima "
+       "are likelihood-competitive — the reason the library defaults to "
+       "the vote prior."},
+      {"ablation_gibbs_samples",
+       "Ablation A4 — Gibbs sweeps vs bound accuracy",
+       "Section III-B convergence behaviour", ablation_gibbs_samples,
+       "expected: gap shrinks ~1/sqrt(sweeps); a few hundred sweeps "
+       "already reach the paper's reported precision."},
+      {"ablation_shrinkage", "Ablation A5 — EM-Ext shrinkage strength",
+       "DESIGN.md §5 (hierarchical MAP shrinkage)", ablation_shrinkage,
+       "expected: accuracy rises steeply from 0 and flattens; the library "
+       "default (10) sits on the plateau while keeping per-source signal "
+       "at larger m."},
+      {"ablation_exposure_scope",
+       "Ablation A7 — direct vs transitive exposure scope",
+       "Section II-A ancestor definition (DESIGN.md §5)",
+       ablation_exposure_scope,
+       "expected: transitive exposure marks more cells dependent but "
+       "changes EM-Ext's ranking quality only marginally — the direct "
+       "definition (the paper's walkthrough) suffices."},
+      {"ext_streaming", "Extension — streaming (recursive) EM-Ext",
+       "recursive estimation over windows; cf. IPSN'16 stream estimator "
+       "cited in related work",
+       ext_streaming,
+       "expected: streaming > isolated (carried source knowledge), "
+       "approaching the full-history rerun at a fraction of its cost; the "
+       "gap narrows as windows grow."},
+  };
+  return table;
+}
+
+}  // namespace
+}  // namespace ss::bench
+
+int main(int argc, char** argv) {
+  using ss::bench::Experiment;
+  const std::vector<Experiment>& all = ss::bench::experiments();
+  std::vector<const Experiment*> chosen;
+  for (int i = 1; i < argc; ++i) {
+    auto it = std::find_if(all.begin(), all.end(), [&](const Experiment& e) {
+      return std::string(e.name) == argv[i];
+    });
+    if (it == all.end()) {
+      std::fprintf(stderr, "bench_paper: unknown experiment '%s'; one of:\n",
+                   argv[i]);
+      for (const Experiment& e : all) std::fprintf(stderr, "  %s\n", e.name);
+      return 2;
+    }
+    chosen.push_back(&*it);
+  }
+  if (argc == 1) {
+    for (const Experiment& e : all) chosen.push_back(&e);
+  }
+  for (const Experiment* e : chosen) {
+    ss::bench::banner(e->title, e->paper_ref);
+    ss::JsonValue doc = ss::bench::object({{"experiment", e->name}});
+    e->run(doc);
+    if (e->expected != nullptr) std::printf("\n%s\n", e->expected);
+    ss::bench::write_result(e->name, doc);
+  }
+  return 0;
+}
