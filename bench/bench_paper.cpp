@@ -9,6 +9,7 @@
 // <SS_RESULTS_DIR|bench_results>/<name>.json. Knobs: SS_REPS, SS_FAST,
 // SS_SCALE, SS_THREADS, SS_RESULTS_DIR. An unknown name exits 2.
 #include <algorithm>
+#include <string>
 
 #include "apollo/grading.h"
 #include "bench_common.h"
@@ -37,7 +38,7 @@ struct Experiment {
   const char* title;
   const char* paper_ref;
   Body run;
-  const char* expected;  // closing note after the tables, or nullptr
+  std::string expected;  // closing note after the tables, or empty
 };
 
 JsonValue object(
@@ -680,8 +681,7 @@ void ext_streaming(JsonValue& doc) {
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> table = {
       {"table1", "Table I — computing the error bound: an example",
-       "ICDCS'16 Section III-A, Table I (Err = 0.26980433)", table1,
-       nullptr},
+       "ICDCS'16 Section III-A, Table I (Err = 0.26980433)", table1, ""},
       {"fig3_bound_vs_sources",
        "Figure 3 — approximate vs exact bound, sweeping n",
        "ICDCS'16 Fig. 3 (n = 5..25, m = 50, defaults)",
@@ -762,9 +762,11 @@ const std::vector<Experiment>& experiments() {
        "already reach the paper's reported precision."},
       {"ablation_shrinkage", "Ablation A5 — EM-Ext shrinkage strength",
        "DESIGN.md §5 (hierarchical MAP shrinkage)", ablation_shrinkage,
+       // The default is read from EmExtConfig so the note cannot drift.
        "expected: accuracy rises steeply from 0 and flattens; the library "
-       "default (10) sits on the plateau while keeping per-source signal "
-       "at larger m."},
+       "default (" + format_double(EmExtConfig{}.shrinkage, 0) +
+           ") sits on the plateau while keeping per-source signal at "
+           "larger m."},
       {"ablation_exposure_scope",
        "Ablation A7 — direct vs transitive exposure scope",
        "Section II-A ancestor definition (DESIGN.md §5)",
@@ -809,7 +811,7 @@ int main(int argc, char** argv) {
     ss::bench::banner(e->title, e->paper_ref);
     ss::JsonValue doc = ss::bench::object({{"experiment", e->name}});
     e->run(doc);
-    if (e->expected != nullptr) std::printf("\n%s\n", e->expected);
+    if (!e->expected.empty()) std::printf("\n%s\n", e->expected.c_str());
     ss::bench::write_result(e->name, doc);
   }
   return 0;

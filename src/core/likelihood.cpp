@@ -21,7 +21,8 @@ LikelihoodTable::LikelihoodTable(const Dataset& dataset,
   set_params(params);
 }
 
-void LikelihoodTable::set_params(const ModelParams& params) {
+void LikelihoodTable::set_params(const ModelParams& params,
+                                 ThreadPool* pool) {
   std::size_t n = dataset_.source_count();
   if (params.source.size() != n) {
     throw std::invalid_argument(
@@ -29,11 +30,11 @@ void LikelihoodTable::set_params(const ModelParams& params) {
   }
   // SourceParams is {a, b, f, g} as four contiguous doubles, so the
   // params array IS the rate-row layout build_from_rows consumes —
-  // the table clamps each rate in flight (bit-identical to the
-  // historical clamp_prob lambda build, minus its scratch pack).
+  // the table clamps each rate in flight.
   static_assert(sizeof(SourceParams) == 4 * sizeof(double));
   logs_.build_from_rows(n, clamp_prob(params.z),
-                        reinterpret_cast<const double*>(params.source.data()));
+                        reinterpret_cast<const double*>(params.source.data()),
+                        pool);
 }
 
 double LikelihoodTable::data_log_likelihood() const {

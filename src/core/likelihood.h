@@ -56,8 +56,10 @@ class LikelihoodTable {
   // Recomputes the hoisted log terms from `params`, reusing the
   // existing buffers. `params` must have one entry per source in the
   // dataset (throws std::invalid_argument otherwise); probabilities are
-  // clamped internally so logs stay finite.
-  void set_params(const ModelParams& params);
+  // clamped internally so logs stay finite. With a pool of more than
+  // one worker the per-source rows are built on it; the table is
+  // bit-identical for any pool (see kernels::ExtLogTable).
+  void set_params(const ModelParams& params, ThreadPool* pool = nullptr);
 
   std::size_t assertion_count() const {
     return dataset_.assertion_count();

@@ -124,12 +124,12 @@ class ShardedEmEngine {
     }
     // SourceParams is {a, b, f, g} as four contiguous doubles (the
     // static_assert lives in em_mstep.h's fused tail, same contract):
-    // build_from_rows reads the params array directly and clamps each
-    // rate in flight — bit-identical to the historical clamp_prob
-    // lambda build, minus its 4n-double scratch pack.
+    // build_from_rows reads the params array directly, clamps each
+    // rate in flight and runs its row pass on the pool (bit-identical
+    // for any worker count; see ExtLogTable in math/kernels.h).
     s.table.build_from_rows(
         n, clamp_prob(params.z),
-        reinterpret_cast<const double*>(params.source.data()));
+        reinterpret_cast<const double*>(params.source.data()), pool_);
     s.e.posterior.resize(m);
     s.e.log_odds.resize(m);
     s.column_ll.resize(m);

@@ -91,10 +91,11 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     params_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
   }
 
-  // One likelihood table per batch, rebuilt in place each inner
-  // iteration; the batch-statistics vectors are member scratch with
-  // every slot assigned below. The pre-kernel loop constructed a fresh
-  // table and nine fresh vectors per inner iteration.
+  // One likelihood table per batch, rebuilt in place (on `pool`) each
+  // inner iteration; the batch-statistics vectors are member scratch
+  // with every slot assigned below. The pre-kernel loop constructed a
+  // fresh table and nine fresh vectors per inner iteration.
+  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
   LikelihoodTable table(batch);
   std::vector<double>& posterior = posterior_;
   posterior.assign(m, 0.5);
@@ -109,7 +110,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   bool poisoned = false;
   for (std::size_t inner = 0; inner < config_.iters_per_batch; ++inner) {
     // E-step on this batch under the current theta.
-    table.set_params(params_);
+    table.set_params(params_, pool);
     all_posteriors(table, posterior);
     fault::maybe_corrupt_posterior(posterior);
     if (!all_finite(posterior)) {
@@ -226,8 +227,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   result.stats_committed = !poisoned;
   // The result vectors are moved to the caller, so (unlike the scratch
   // above) there is nothing to reuse here.
-  table.set_params(params_);
-  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
+  table.set_params(params_, pool);
   EStepResult e = fused_e_step(table, pool);
   fault::maybe_corrupt_posterior(e.posterior);
   result.belief = std::move(e.posterior);

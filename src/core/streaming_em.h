@@ -62,10 +62,10 @@ struct StreamingEmConfig {
   double shrinkage = 8.0;
   // Bounds on the learned prior z (see EmExtConfig::z_floor).
   double z_floor = 0.05;
-  // Pool for the fused E-step; nullptr = the process-global pool.
-  // Chunk boundaries depend only on (count, grain), so results are
-  // bit-identical across pool sizes — tests pin a 1-thread and a
-  // 4-thread pool against each other to prove it.
+  // Pool for the log-table builds and the fused E-step; nullptr = the
+  // process-global pool. Chunk boundaries depend only on (count,
+  // grain), so results are bit-identical across pool sizes — tests pin
+  // 1-thread and 4-thread pools against each other to prove it.
   ThreadPool* pool = nullptr;
 };
 

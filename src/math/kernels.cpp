@@ -16,6 +16,62 @@ double tree_sum(ThreadPool* pool, const double* values, std::size_t n) {
       [](double a, double b) { return a + b; });
 }
 
+void ExtLogTable::build_from_rows(std::size_t n, double z,
+                                  const double* rates4, ThreadPool* pool) {
+  if (exposed_silent_.size() != n) {
+    exposed_silent_.resize(n);
+    claim_indep_.resize(n);
+    claim_dep_.resize(n);
+    base_terms_.resize(n);
+  }
+  log_z_ = std::log(z);
+  log_1mz_ = std::log1p(-z);
+  // Read once: every block of this build takes the same backend.
+  const bool avx2 = simd::avx2_active();
+  if (pool != nullptr && pool->size() > 1 && n > kTreeReduceBlock) {
+    pool->parallel_for_chunks(
+        n, kTreeReduceBlock,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          build_rows(avx2, rates4, begin, end);
+        });
+  } else {
+    build_rows(avx2, rates4, 0, n);
+  }
+  double base_t = 0.0;
+  double base_f = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    base_t += base_terms_[i].t;
+    base_f += base_terms_[i].f;
+  }
+  base_ = {base_t, base_f};
+}
+
+void ExtLogTable::build_rows(bool avx2, const double* rates4,
+                             std::size_t begin, std::size_t end) {
+  if (avx2) {
+    simd::ext_table_rows_clamped_avx2(
+        end - begin, rates4 + 4 * begin, exposed_silent_.data() + begin,
+        claim_indep_.data() + begin, claim_dep_.data() + begin,
+        base_terms_.data() + begin);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    const double* r = rates4 + 4 * i;
+    double a = clamp_prob(r[0]);
+    double b = clamp_prob(r[1]);
+    double f = clamp_prob(r[2]);
+    double g = clamp_prob(r[3]);
+    double log_na = std::log1p(-a);
+    double log_nb = std::log1p(-b);
+    double log_nf = std::log1p(-f);
+    double log_ng = std::log1p(-g);
+    base_terms_[i] = {log_na, log_nb};
+    exposed_silent_[i] = {log_nf - log_na, log_ng - log_nb};
+    claim_indep_[i] = {std::log(a) - log_na, std::log(b) - log_nb};
+    claim_dep_[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
+  }
+}
+
 std::size_t finalize_params(std::size_t n, const double* stats6,
                             double total_z, double total_y,
                             const double* cells, const double* cmu,

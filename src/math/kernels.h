@@ -227,28 +227,23 @@ void finalize_columns_avx2(const double* la, const double* lb,
                            double* log_odds, double* column_ll);
 void finalize_pairs_avx2(const double* la, const double* lb, std::size_t n,
                          double* posterior, double* log_odds);
-// Table builds over a caller-packed rate scratch: `rates` holds
-// {a, b, f, g} (ext) or {p_true, p_false} (rate) per source,
-// contiguously. `base` is overwritten with the all-silent sums,
-// accumulated in source order.
-void ext_table_rows_avx2(std::size_t n, const double* rates,
-                         kernels::LogPair* exposed_silent,
-                         kernels::LogPair* claim_indep,
-                         kernels::LogPair* claim_dep,
-                         kernels::LogPair* base);
-// As ext_table_rows_avx2, but `rates` holds *unclamped* {a, b, f, g}
-// rows (the SourceParams memory layout) and the kernel applies the
-// canonical clamp_prob clamp in-register before the row math. The
-// clamp replicates std::clamp's branch semantics with ordered
-// compare + blend — a NaN rate survives the clamp and takes the
-// scalar degenerate row, exactly like clamp_prob(NaN) fed to the
-// scratch path — so the output bits equal build() over
-// clamp_prob-wrapped rates, without the 4n-double scratch round trip.
+// ExtLogTable row kernel over n contiguous *unclamped* {a, b, f, g}
+// rate rows (the SourceParams memory layout): applies the canonical
+// clamp_prob clamp in-register, then writes the three correction
+// pairs and each row's {log(1-a), log(1-b)} base term to `base_terms`
+// (ExtLogTable sums those serially). The clamp replicates std::clamp's
+// branch semantics with ordered compare + blend — a NaN rate survives
+// the clamp and takes the scalar degenerate row, exactly like
+// clamp_prob(NaN) — so each stored value differs from the scalar
+// row's only by the polynomial transcendental.
 void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
                                  kernels::LogPair* exposed_silent,
                                  kernels::LogPair* claim_indep,
                                  kernels::LogPair* claim_dep,
-                                 kernels::LogPair* base);
+                                 kernels::LogPair* base_terms);
+// Rate table build over a caller-packed scratch of {p_true, p_false}
+// rows; `base` is overwritten with the all-silent sums, accumulated in
+// source order.
 void rate_table_rows_avx2(std::size_t n, const double* rates,
                           kernels::LogPair* silent, kernels::LogPair* claim,
                           kernels::LogPair* base);
@@ -489,92 +484,37 @@ std::size_t finalize_params(std::size_t n, const double* stats6,
 // Four-rate table for the dependency-aware model (Table II): baseline
 // "everyone silent and unexposed" sums plus the three correction pairs
 // every column walk (LikelihoodTable::column and the sharded E-step)
-// applies per column. `rates(i)` must return the already-clamped
-// {a, b, f, g} for source i; the scalar build performs exactly the
-// eight transcendentals per source of the pre-kernel constructor, in
-// the same order, and reallocates only when the source
-// count grows. The avx2 build packs the rates into a scratch row and
-// evaluates all four log/log1p pairs of a source as one vector
-// (simd::ext_table_rows_avx2); the base sums still accumulate in
-// source order, so the only divergence from scalar is the polynomial
-// transcendental itself.
+// applies per column.
+//
+// build_from_rows reads n contiguous *unclamped* {a, b, f, g} rate rows
+// (the SourceParams memory layout; callers static_assert the 4-double
+// layout at the reinterpret_cast site) and clamps each rate in flight
+// with clamp_prob. It runs in two passes:
+//
+//  1. Rows. Per source: the eight transcendentals of the pre-kernel
+//     constructor (scalar), or one log1p_pd and one log_pd over the
+//     four rate lanes (simd::ext_table_rows_clamped_avx2). Each row
+//     writes its three correction pairs and its {log(1-a), log(1-b)}
+//     base term into table-owned slots, so rows are independent: with
+//     a pool of more than one worker and more than one block of
+//     sources, the pass runs over fixed kTreeReduceBlock-source blocks
+//     through parallel_for_chunks.
+//  2. Base sum. The calling thread adds the base terms in source order.
+//     It stays serial on purpose: a blocked or tree sum would reorder
+//     the additions and move the last bits of base() — and with them
+//     every golden hash — while one sequential pass over 16 B per
+//     source is a small fraction of the row pass.
+//
+// Every stored value and the base addition order are the same whatever
+// the pool, so the table is bit-identical for any worker count on
+// either backend. The base-term scratch costs 16 B per source (16 MB
+// at 10^6 sources, per concurrent EM restart attempt). Buffers are
+// reused across builds; they allocate only when n exceeds every
+// earlier n.
 class ExtLogTable {
  public:
-  template <typename Rates>
-  void build(std::size_t n, double z, Rates&& rates) {
-    resize(n);
-    log_z_ = std::log(z);
-    log_1mz_ = std::log1p(-z);
-    if (n > 0 && simd::avx2_active()) {
-      if (rate_scratch_.size() < 4 * n) rate_scratch_.resize(4 * n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = rates(i);  // {a, b, f, g}, clamped by the caller
-        rate_scratch_[4 * i + 0] = r[0];
-        rate_scratch_[4 * i + 1] = r[1];
-        rate_scratch_[4 * i + 2] = r[2];
-        rate_scratch_[4 * i + 3] = r[3];
-      }
-      simd::ext_table_rows_avx2(n, rate_scratch_.data(),
-                                exposed_silent_.data(), claim_indep_.data(),
-                                claim_dep_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto r = rates(i);  // {a, b, f, g}, clamped by the caller
-      double log_na = std::log1p(-r[0]);
-      double log_nb = std::log1p(-r[1]);
-      double log_nf = std::log1p(-r[2]);
-      double log_ng = std::log1p(-r[3]);
-      base_t += log_na;
-      base_f += log_nb;
-      exposed_silent_[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep_[i] = {std::log(r[0]) - log_na, std::log(r[1]) - log_nb};
-      claim_dep_[i] = {std::log(r[2]) - log_nf, std::log(r[3]) - log_ng};
-    }
-    base_ = {base_t, base_f};
-  }
-
-  // Builds straight from n contiguous *unclamped* {a, b, f, g} rate
-  // rows (the SourceParams memory layout; callers static_assert the
-  // 4-double layout at the reinterpret_cast site), applying the
-  // default clamp_prob per rate in flight. Bit-identical to build()
-  // over clamp_prob-wrapped rates — the scalar path clamps then runs
-  // the exact eight transcendentals above, the avx2 path clamps
-  // in-register with std::clamp's branch semantics — but skips the
-  // per-iteration 4n-double scratch pack the lambda build pays, which
-  // at 10^6 sources is a 32 MB write + read per EM iteration.
-  void build_from_rows(std::size_t n, double z, const double* rates4) {
-    resize(n);
-    log_z_ = std::log(z);
-    log_1mz_ = std::log1p(-z);
-    if (n > 0 && simd::avx2_active()) {
-      simd::ext_table_rows_clamped_avx2(n, rates4, exposed_silent_.data(),
-                                        claim_indep_.data(),
-                                        claim_dep_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* r = rates4 + 4 * i;
-      double a = clamp_prob(r[0]);
-      double b = clamp_prob(r[1]);
-      double f = clamp_prob(r[2]);
-      double g = clamp_prob(r[3]);
-      double log_na = std::log1p(-a);
-      double log_nb = std::log1p(-b);
-      double log_nf = std::log1p(-f);
-      double log_ng = std::log1p(-g);
-      base_t += log_na;
-      base_f += log_nb;
-      exposed_silent_[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep_[i] = {std::log(a) - log_na, std::log(b) - log_nb};
-      claim_dep_[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
-    }
-    base_ = {base_t, base_f};
-  }
+  void build_from_rows(std::size_t n, double z, const double* rates4,
+                       ThreadPool* pool = nullptr);
 
   std::size_t source_count() const { return exposed_silent_.size(); }
   LogPair base() const { return base_; }
@@ -589,18 +529,14 @@ class ExtLogTable {
   const LogPair* claim_dep() const { return claim_dep_.data(); }
 
  private:
-  void resize(std::size_t n) {
-    if (exposed_silent_.size() != n) {
-      exposed_silent_.resize(n);
-      claim_indep_.resize(n);
-      claim_dep_.resize(n);
-    }
-  }
+  // Pass 1 over sources [begin, end).
+  void build_rows(bool avx2, const double* rates4, std::size_t begin,
+                  std::size_t end);
 
   std::vector<LogPair> exposed_silent_;
   std::vector<LogPair> claim_indep_;
   std::vector<LogPair> claim_dep_;
-  std::vector<double> rate_scratch_;  // avx2 build input, {a,b,f,g} rows
+  std::vector<LogPair> base_terms_;  // {log(1-a), log(1-b)} per source
   LogPair base_;
   double log_z_ = 0.0;
   double log_1mz_ = 0.0;
@@ -610,7 +546,10 @@ class ExtLogTable {
 // EM-IPSN12): silent pairs {log(1-p_t), log(1-p_f)} for baseline /
 // exposure removal, claim correction pairs {log p - log(1-p)}, and the
 // all-silent baseline sums. `rates(i)` returns clamped {p_true,
-// p_false} for source i. Backend split mirrors ExtLogTable.
+// p_false} for source i. The scalar build runs four transcendentals
+// per source in order; the avx2 build packs the rates into a scratch
+// and evaluates two sources per vector (simd::rate_table_rows_avx2).
+// Both add the base sums in source order.
 class RateLogTable {
  public:
   template <typename Rates>

@@ -281,54 +281,18 @@ inline bool any_degenerate_rate(__m256d r) {
 
 // One source per iteration: its four rates occupy the four lanes, so
 // the eight scalar transcendentals become one log1p_pd and one log_pd.
-// The base sums accumulate in source order, exactly like scalar — the
-// only divergence is the polynomial evaluation itself. Degenerate
-// (unclamped) rates fall back to the scalar row.
-void ext_table_rows_avx2(std::size_t n, const double* rates,
-                         LogPair* exposed_silent, LogPair* claim_indep,
-                         LogPair* claim_dep, LogPair* base) {
-  __m128d base_acc = _mm_setzero_pd();
-  for (std::size_t i = 0; i < n; ++i) {
-    __m256d r = _mm256_loadu_pd(rates + 4 * i);  // [a, b, f, g]
-    if (any_degenerate_rate(r)) {
-      double a = rates[4 * i], b = rates[4 * i + 1];
-      double f = rates[4 * i + 2], g = rates[4 * i + 3];
-      double log_na = std::log1p(-a);
-      double log_nb = std::log1p(-b);
-      double log_nf = std::log1p(-f);
-      double log_ng = std::log1p(-g);
-      base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_na, log_nb));
-      exposed_silent[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep[i] = {std::log(a) - log_na, std::log(b) - log_nb};
-      claim_dep[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
-      continue;
-    }
-    __m256d ln = vec::log1p_pd(vec::negate_pd(r));  // log(1-rate) lanes
-    __m256d lp = vec::log_pd(r);                  // log(rate) lanes
-    __m256d diff = _mm256_sub_pd(lp, ln);
-    __m128d ln_lo = _mm256_castpd256_pd128(ln);   // [log_na, log_nb]
-    __m128d ln_hi = _mm256_extractf128_pd(ln, 1); // [log_nf, log_ng]
-    base_acc = _mm_add_pd(base_acc, ln_lo);
-    _mm_storeu_pd(&exposed_silent[i].t, _mm_sub_pd(ln_hi, ln_lo));
-    _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
-    _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
-  }
-  _mm_storeu_pd(&base->t, base_acc);
-}
-
-// As ext_table_rows_avx2 over *unclamped* rate rows: each loaded
-// vector is clamped to [kProbEps, 1 - kProbEps] in-register before
-// the row math. The compare + blend pair replicates std::clamp's
-// branch semantics exactly — both ordered compares are false on a NaN
-// lane, so NaN survives both blends (clamp_prob(NaN) == NaN) and the
+// Each loaded vector is first clamped to [kProbEps, 1 - kProbEps]
+// in-register. The compare + blend pair replicates std::clamp's branch
+// semantics exactly — both ordered compares are false on a NaN lane,
+// so NaN survives both blends (clamp_prob(NaN) == NaN) and the
 // degenerate check routes the row to the scalar fallback, which
-// re-clamps with the identical scalar expression. Clamped lanes are
-// bitwise what clamp_prob produced in the caller-packed scratch path,
-// so the table bits are unchanged.
+// re-clamps with the identical scalar expression. Rows only store:
+// the base terms go to `base_terms` for the caller's source-order sum,
+// so any split of [0, n) into calls yields the same bits.
 void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
                                  LogPair* exposed_silent,
                                  LogPair* claim_indep, LogPair* claim_dep,
-                                 LogPair* base) {
+                                 LogPair* base_terms) {
   constexpr double kProbEps = 1e-9;  // clamp_prob's default eps
   const __m256d lo = _mm256_set1_pd(kProbEps);
   const __m256d hi = _mm256_set1_pd(1.0 - kProbEps);
@@ -339,7 +303,6 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
     constexpr double h = 1.0 - 1e-9;
     return v < l ? l : (h < v ? h : v);
   };
-  __m128d base_acc = _mm_setzero_pd();
   for (std::size_t i = 0; i < n; ++i) {
     __m256d r = _mm256_loadu_pd(rates + 4 * i);  // [a, b, f, g]
     r = _mm256_blendv_pd(r, lo, _mm256_cmp_pd(r, lo, _CMP_LT_OQ));
@@ -351,7 +314,7 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
       double log_nb = std::log1p(-b);
       double log_nf = std::log1p(-f);
       double log_ng = std::log1p(-g);
-      base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_na, log_nb));
+      base_terms[i] = {log_na, log_nb};
       exposed_silent[i] = {log_nf - log_na, log_ng - log_nb};
       claim_indep[i] = {std::log(a) - log_na, std::log(b) - log_nb};
       claim_dep[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
@@ -362,12 +325,11 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
     __m256d diff = _mm256_sub_pd(lp, ln);
     __m128d ln_lo = _mm256_castpd256_pd128(ln);   // [log_na, log_nb]
     __m128d ln_hi = _mm256_extractf128_pd(ln, 1); // [log_nf, log_ng]
-    base_acc = _mm_add_pd(base_acc, ln_lo);
+    _mm_storeu_pd(&base_terms[i].t, ln_lo);
     _mm_storeu_pd(&exposed_silent[i].t, _mm_sub_pd(ln_hi, ln_lo));
     _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
     _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
   }
-  _mm_storeu_pd(&base->t, base_acc);
 }
 
 // Two sources per iteration ([pt0, pf0, pt1, pf1] lanes); base sums
@@ -653,10 +615,6 @@ void finalize_columns_avx2(const double*, const double*, std::size_t,
 }
 void finalize_pairs_avx2(const double*, const double*, std::size_t,
                          double*, double*) {
-  std::abort();
-}
-void ext_table_rows_avx2(std::size_t, const double*, LogPair*, LogPair*,
-                         LogPair*, LogPair*) {
   std::abort();
 }
 void ext_table_rows_clamped_avx2(std::size_t, const double*, LogPair*,

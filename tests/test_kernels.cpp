@@ -22,10 +22,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/likelihood.h"
 #include "core/posterior.h"
+#include "backend_guard.h"
 #include "kernel_golden.h"
 #include "math/kernels.h"
 #include "math/logprob.h"
@@ -200,8 +202,10 @@ TEST(KernelEpilogues, FinalizeHandlesInfinitiesLikeReference) {
   }
 }
 
-// ExtLogTable::build must reproduce the pre-kernel constructor's per-
-// source sequence exactly, including on fully degenerate clamped rates.
+// ExtLogTable's serial build must reproduce the pre-kernel
+// constructor's per-source sequence exactly, including on fully
+// degenerate clamped rates (already-clamped rows pass the in-flight
+// clamp unchanged).
 TEST(KernelTables, ExtLogTableMatchesNaiveHoistBitwise) {
   Rng rng(16);
   for (int round = 0; round < 20; ++round) {
@@ -216,7 +220,8 @@ TEST(KernelTables, ExtLogTableMatchesNaiveHoistBitwise) {
     double z = clamp_prob(round % 2 == 0 ? 0.37 : 0.0);
 
     kernels::ExtLogTable table;
-    table.build(n, z, [&](std::size_t i) { return rates[i]; });
+    table.build_from_rows(n, z,
+                          reinterpret_cast<const double*>(rates.data()));
 
     expect_same_bits(table.log_z(), std::log(z), "log_z");
     expect_same_bits(table.log_1mz(), std::log1p(-z), "log_1mz");
@@ -247,64 +252,142 @@ TEST(KernelTables, ExtLogTableMatchesNaiveHoistBitwise) {
 
     // In-place rebuild with new values must fully overwrite the old.
     kernels::ExtLogTable rebuilt = table;
-    rebuilt.build(n, clamp_prob(0.61),
-                  [&](std::size_t) {
-                    return std::array<double, 4>{0.2, 0.3, 0.4, 0.5};
-                  });
-    rebuilt.build(n, z, [&](std::size_t i) { return rates[i]; });
+    std::vector<std::array<double, 4>> other(n, {0.2, 0.3, 0.4, 0.5});
+    rebuilt.build_from_rows(n, clamp_prob(0.61),
+                            reinterpret_cast<const double*>(other.data()));
+    rebuilt.build_from_rows(n, z,
+                            reinterpret_cast<const double*>(rates.data()));
     expect_same_bits(rebuilt.base().t, table.base().t, "rebuild base.t");
     expect_same_bits(rebuilt.claim_dep()[n - 1].f,
                      table.claim_dep()[n - 1].f, "rebuild claim_dep");
   }
 }
 
-// build_from_rows over *raw* rate rows must equal build over
-// clamp_prob-wrapped rates bitwise: the in-flight clamp is the same
-// std::clamp branch chain (NaN propagating), and the row math is
-// unchanged. Runs under whatever backend is active, so both the
-// scalar and the avx2 in-register clamp paths are covered across the
-// test matrix.
-TEST(KernelTables, ExtLogTableBuildFromRowsMatchesClampedBuild) {
-  Rng rng(18);
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
-                        std::size_t{201}}) {
-    std::vector<double> raw(4 * n);
-    for (double& p : raw) p = rng.uniform(-0.2, 1.2);  // out-of-range too
-    if (n >= 3) {
-      raw[4 * 2 + 1] = kNan;  // NaN rate -> degenerate fallback row
-      raw[4 * 2 + 3] = 2.0;
+// Reports the first source whose LogPair differs bitwise between two
+// correction arrays (one failure per array, not one per element).
+void expect_pairs_same_bits(const kernels::LogPair* got,
+                            const kernels::LogPair* want, std::size_t n,
+                            const std::string& what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bits_of(got[i].t) != bits_of(want[i].t) ||
+        bits_of(got[i].f) != bits_of(want[i].f)) {
+      ADD_FAILURE() << what << " differs first at source " << i << ": {"
+                    << got[i].t << ", " << got[i].f << "} vs {"
+                    << want[i].t << ", " << want[i].f << "}";
+      return;
     }
-    double z = clamp_prob(0.41);
+  }
+}
 
-    kernels::ExtLogTable via_lambda;
-    via_lambda.build(n, z, [&](std::size_t i) {
-      return std::array<double, 4>{
-          clamp_prob(raw[4 * i]), clamp_prob(raw[4 * i + 1]),
-          clamp_prob(raw[4 * i + 2]), clamp_prob(raw[4 * i + 3])};
-    });
-    kernels::ExtLogTable via_rows;
-    via_rows.build_from_rows(n, z, raw.data());
+void expect_tables_same_bits(const kernels::ExtLogTable& got,
+                             const kernels::ExtLogTable& want,
+                             const std::string& tag) {
+  ASSERT_EQ(got.source_count(), want.source_count()) << tag;
+  std::size_t n = want.source_count();
+  expect_pairs_same_bits(got.exposed_silent(), want.exposed_silent(), n,
+                         tag + " exposed_silent");
+  expect_pairs_same_bits(got.claim_indep(), want.claim_indep(), n,
+                         tag + " claim_indep");
+  expect_pairs_same_bits(got.claim_dep(), want.claim_dep(), n,
+                         tag + " claim_dep");
+  expect_same_bits(got.base().t, want.base().t, (tag + " base.t").c_str());
+  expect_same_bits(got.base().f, want.base().f, (tag + " base.f").c_str());
+  expect_same_bits(got.log_z(), want.log_z(), (tag + " log_z").c_str());
+  expect_same_bits(got.log_1mz(), want.log_1mz(),
+                   (tag + " log_1mz").c_str());
+}
 
-    expect_same_bits(via_rows.base().t, via_lambda.base().t, "rows base.t");
-    expect_same_bits(via_rows.base().f, via_lambda.base().f, "rows base.f");
-    expect_same_bits(via_rows.log_z(), via_lambda.log_z(), "rows log_z");
-    expect_same_bits(via_rows.log_1mz(), via_lambda.log_1mz(),
-                     "rows log_1mz");
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string tag = "rows i=" + std::to_string(i);
-      expect_same_bits(via_rows.exposed_silent()[i].t,
-                       via_lambda.exposed_silent()[i].t, (tag + " es.t").c_str());
-      expect_same_bits(via_rows.exposed_silent()[i].f,
-                       via_lambda.exposed_silent()[i].f, (tag + " es.f").c_str());
-      expect_same_bits(via_rows.claim_indep()[i].t,
-                       via_lambda.claim_indep()[i].t, (tag + " ci.t").c_str());
-      expect_same_bits(via_rows.claim_indep()[i].f,
-                       via_lambda.claim_indep()[i].f, (tag + " ci.f").c_str());
-      expect_same_bits(via_rows.claim_dep()[i].t,
-                       via_lambda.claim_dep()[i].t, (tag + " cd.t").c_str());
-      expect_same_bits(via_rows.claim_dep()[i].f,
-                       via_lambda.claim_dep()[i].f, (tag + " cd.f").c_str());
+// The pooled build (row pass over fixed kTreeReduceBlock blocks, base
+// sum serial in source order) must equal the serial build bitwise, for
+// every pool size and on both backends, around and across the block
+// grain. Raw rows carry degenerate, out-of-range and NaN rates in the
+// first, a middle and the last block, and are checked against the
+// serial build over clamp_prob-wrapped rows — so the in-flight clamp
+// (scalar branch chain or AVX2 compare + blend) is pinned too. On the
+// scalar backend the reference's base() is also checked against the
+// source-order left fold; the NaN-free pass keeps it finite, so a
+// reordered base sum would show in its last bits.
+TEST(KernelTables, ExtLogTableParallelBuildMatchesSerialBitwise) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kGrain = kernels::kTreeReduceBlock;
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  const std::array<ThreadPool*, 4> pools = {nullptr, &pool1, &pool2,
+                                            &pool8};
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::avx2_runtime_supported()) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  Rng rng(19);
+  const double z = clamp_prob(0.41);
+  for (simd::Backend backend : backends) {
+    test_support::ScopedBackend pin(backend);
+    const std::string backend_tag =
+        backend == simd::Backend::kScalar ? "scalar" : "avx2";
+    for (std::size_t n :
+         {kGrain - 1, kGrain, kGrain + 1, 3 * kGrain + 17}) {
+      for (bool with_nan : {false, true}) {
+        std::vector<double> raw(4 * n);
+        for (double& p : raw) p = rng.uniform(0.001, 0.999);
+        // Three special rows at the start of the first block, in the
+        // middle of the middle one and at the end of the last one.
+        for (std::size_t at : {std::size_t{1}, n / 2, n - 4}) {
+          double* r = raw.data() + 4 * at;
+          r[0] = 0.0;  // degenerate: clamps to the bounds
+          r[1] = 1.0;
+          r[2] = 0.0;
+          r[3] = 1.0;
+          r[4] = -0.25;  // out of range
+          r[5] = 1.5;
+          r[6] = kInf;
+          r[7] = -kInf;
+          r[8] = 0.3;
+          r[9] = with_nan ? kNan : 2.0;
+          r[10] = 1e-12;
+          r[11] = 1.0 - 1e-12;
+        }
+        std::vector<double> clamped(raw.size());
+        for (std::size_t k = 0; k < raw.size(); ++k) {
+          clamped[k] = clamp_prob(raw[k]);
+        }
+        kernels::ExtLogTable want;
+        want.build_from_rows(n, z, clamped.data());
+        if (!with_nan) {
+          ASSERT_TRUE(std::isfinite(want.base().t));
+          ASSERT_TRUE(std::isfinite(want.base().f));
+        }
+        if (backend == simd::Backend::kScalar) {
+          // The reference itself is the source-order left fold.
+          double base_t = 0.0;
+          double base_f = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            base_t += std::log1p(-clamped[4 * i]);
+            base_f += std::log1p(-clamped[4 * i + 1]);
+          }
+          expect_same_bits(want.base().t, base_t, "left-fold base.t");
+          expect_same_bits(want.base().f, base_f, "left-fold base.f");
+        }
+        const std::string case_tag = backend_tag + " n=" +
+                                     std::to_string(n) +
+                                     (with_nan ? " nan" : "");
+        for (ThreadPool* pool : pools) {
+          const std::string tag =
+              case_tag + " workers=" +
+              std::to_string(pool == nullptr ? 0 : pool->size());
+          kernels::ExtLogTable got;
+          got.build_from_rows(n, z, raw.data(), pool);
+          expect_tables_same_bits(got, want, tag);
+        }
+        // Shrink then grow: buffers that once held more sources, then
+        // fewer, must rebuild to the same bits.
+        std::vector<double> big(4 * (n + kGrain));
+        for (double& p : big) p = rng.uniform(0.001, 0.999);
+        kernels::ExtLogTable reused;
+        reused.build_from_rows(n + kGrain, 0.5, big.data(), &pool8);
+        reused.build_from_rows(1, 0.5, big.data(), &pool8);
+        reused.build_from_rows(n, z, raw.data(), &pool8);
+        expect_tables_same_bits(reused, want, case_tag + " shrink-grow");
+      }
     }
   }
 }

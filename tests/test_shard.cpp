@@ -26,6 +26,7 @@
 #include "data/shard.h"
 #include "data/ssd.h"
 #include "kernel_golden.h"
+#include "math/kernels.h"
 #include "simgen/scale_gen.h"
 #include "util/thread_pool.h"
 
@@ -301,6 +302,40 @@ TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
     config.pool = &pool;
     EXPECT_EQ(hash_sharded_em(sharded, config, 5), kSingleCsrScaleHash)
         << "threads=" << threads;
+  }
+}
+
+// Above kTreeReduceBlock sources the engine builds its per-iteration
+// log table on the pool (row pass over fixed source blocks, base sum
+// serial in source order). The run must still hash the same with the
+// process pool and with 1-, 2- and 8-worker pools, on each backend.
+// The instances above stay below one block and never reach that path.
+TEST(Shard, EmBitIdenticalAcrossPoolsAboveTableGrain) {
+  ScaleKnobs knobs;
+  knobs.sources = 3 * kernels::kTreeReduceBlock + 300;
+  knobs.assertions = 600;
+  knobs.community_lo = 100;
+  knobs.community_hi = 300;
+  std::string path = ::testing::TempDir() + "/shard_table_grain.ssd";
+  generate_scale_ssd(knobs, 78, path);
+  SsdView view = SsdView::open_or_throw(path);
+  ShardedDataset sharded = ShardedDataset::build(view, {64});
+  ASSERT_GT(sharded.source_count(), 3 * kernels::kTreeReduceBlock);
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::avx2_runtime_supported()) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  for (simd::Backend backend : backends) {
+    ScopedBackend guard(backend);
+    EmExtConfig config;
+    std::uint64_t want = hash_sharded_em(sharded, config, 5);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      config.pool = pool;
+      EXPECT_EQ(hash_sharded_em(sharded, config, 5), want)
+          << "backend=" << static_cast<int>(backend)
+          << " workers=" << pool->size();
+    }
   }
 }
 

@@ -372,23 +372,30 @@ TEST(SimdKernels, ExtLogTableBuildMatchesScalar) {
   }
   // Cancellation row: f == a makes exposed_silent.t collapse to ~0.
   f[4] = a[4];
-  // Degenerate row: rates outside (0,1) must take the scalar-fallback
-  // row inside the vector build (bitwise agreement with scalar).
-  a[10] = 0.0;
-  b[10] = 1.0;
-  auto rates = [&](std::size_t i) {
-    return std::array<double, 4>{a[i], b[i], f[i], g[i]};
-  };
+  // Clamped-degenerate row: a and b sit on the clamp bounds.
+  a[10] = clamp_prob(0.0);
+  b[10] = clamp_prob(1.0);
+  // NaN row: a NaN lane sends the whole row to the scalar fallback
+  // inside the vector build (bitwise agreement with scalar on the
+  // lanes it does not touch).
+  g[12] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> rows(4 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[4 * i + 0] = a[i];
+    rows[4 * i + 1] = b[i];
+    rows[4 * i + 2] = f[i];
+    rows[4 * i + 3] = g[i];
+  }
 
   kernels::ExtLogTable scalar_table;
   {
     test_support::ScopedBackend pin(simd::Backend::kScalar);
-    scalar_table.build(n, 0.37, rates);
+    scalar_table.build_from_rows(n, 0.37, rows.data());
   }
   kernels::ExtLogTable avx2_table;
   {
     test_support::ScopedBackend pin(simd::Backend::kAvx2);
-    avx2_table.build(n, 0.37, rates);
+    avx2_table.build_from_rows(n, 0.37, rows.data());
   }
 
   expect_close(scalar_table.base().t, avx2_table.base().t, kTableUlp,
@@ -401,6 +408,7 @@ TEST(SimdKernels, ExtLogTableBuildMatchesScalar) {
     std::string tag = "ext i=" + std::to_string(i);
     expect_close(scalar_table.exposed_silent()[i].t,
                  avx2_table.exposed_silent()[i].t, kTableUlp, tag + " es.t");
+    if (i == 12) continue;  // the NaN row, checked below
     expect_close(scalar_table.exposed_silent()[i].f,
                  avx2_table.exposed_silent()[i].f, kTableUlp, tag + " es.f");
     expect_close(scalar_table.claim_indep()[i].t,
@@ -412,11 +420,17 @@ TEST(SimdKernels, ExtLogTableBuildMatchesScalar) {
     expect_close(scalar_table.claim_dep()[i].f,
                  avx2_table.claim_dep()[i].f, kTableUlp, tag + " cd.f");
   }
-  // The degenerate row went through libm in both builds: bitwise.
-  EXPECT_EQ(scalar_table.claim_indep()[10].t,
-            avx2_table.claim_indep()[10].t);
-  EXPECT_EQ(scalar_table.claim_indep()[10].f,
-            avx2_table.claim_indep()[10].f);
+  // The NaN row went through libm in both builds: bitwise on its
+  // finite lanes, NaN where g enters.
+  EXPECT_EQ(scalar_table.exposed_silent()[12].t,
+            avx2_table.exposed_silent()[12].t);
+  EXPECT_EQ(scalar_table.claim_indep()[12].t,
+            avx2_table.claim_indep()[12].t);
+  EXPECT_EQ(scalar_table.claim_indep()[12].f,
+            avx2_table.claim_indep()[12].f);
+  EXPECT_EQ(scalar_table.claim_dep()[12].t, avx2_table.claim_dep()[12].t);
+  EXPECT_TRUE(std::isnan(avx2_table.exposed_silent()[12].f));
+  EXPECT_TRUE(std::isnan(avx2_table.claim_dep()[12].f));
 }
 
 TEST(SimdKernels, RateLogTableBuildMatchesScalar) {

@@ -2,12 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/em_ext.h"
 #include "core/streaming_em.h"
 #include "eval/metrics.h"
+#include "math/kernels.h"
 #include "math/stats.h"
 #include "simgen/parametric_gen.h"
+#include "util/thread_pool.h"
 
 namespace ss {
 namespace {
@@ -161,6 +166,54 @@ TEST(StreamingEm, DeterministicGivenSameStream) {
     auto r1 = a.observe(batch1.dataset);
     auto r2 = b.observe(batch2.dataset);
     EXPECT_EQ(r1.belief, r2.belief);
+  }
+}
+
+// With more sources than one kTreeReduceBlock, every batch's log-table
+// build (the bootstrap EM-Ext run, each inner iteration and the final
+// E-step) runs its row pass on the pool. The stream must come out
+// bit-identical with the process pool, a 1-worker pool and a 4-worker
+// pool.
+TEST(StreamingEm, PooledTableBuildMatchesSerialAboveGrain) {
+  const std::size_t n = 2 * kernels::kTreeReduceBlock + 100;
+  Stream s = make_stream(29, n);
+  std::vector<Dataset> batches;
+  for (int w = 0; w < 3; ++w) {
+    batches.push_back(generate_parametric_batch(s.population.true_params,
+                                                s.population.forest, 12,
+                                                s.rng)
+                          .dataset);
+  }
+  auto run = [&](ThreadPool* pool) {
+    StreamingEmConfig config;
+    config.pool = pool;
+    StreamingEmExt streaming(n, config);
+    std::vector<StreamingBatchResult> out;
+    for (const Dataset& batch : batches) {
+      out.push_back(streaming.observe(batch));
+    }
+    return std::make_pair(out, streaming.params());
+  };
+  ThreadPool pool1(1), pool4(4);
+  auto [want, want_params] = run(&pool1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+    auto [got, got_params] = run(pool);
+    const std::string tag =
+        pool == nullptr ? "process pool" : "4-worker pool";
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < want.size(); ++b) {
+      EXPECT_EQ(got[b].belief, want[b].belief) << tag << " batch " << b;
+      EXPECT_EQ(got[b].log_odds, want[b].log_odds) << tag << " batch " << b;
+      EXPECT_EQ(got[b].log_likelihood, want[b].log_likelihood) << tag;
+    }
+    EXPECT_EQ(got_params.z, want_params.z) << tag;
+    ASSERT_EQ(got_params.source.size(), want_params.source.size());
+    for (std::size_t i = 0; i < want_params.source.size(); ++i) {
+      const SourceParams& g = got_params.source[i];
+      const SourceParams& w = want_params.source[i];
+      ASSERT_TRUE(g.a == w.a && g.b == w.b && g.f == w.f && g.g == w.g)
+          << tag << " source " << i;
+    }
   }
 }
 
