@@ -1,6 +1,7 @@
 // The paper's evaluation as one table of experiments: Table I, the
-// bound-precision Figs. 3-5, the estimator Figs. 7-10, Table III and
-// Fig. 11, the ablations of DESIGN.md §5 and the streaming extension.
+// bound-precision Figs. 3-5, the bound-timing Fig. 6, the estimator
+// Figs. 7-10, Table III and Fig. 11, the ablations of DESIGN.md §5 and
+// the streaming extension.
 //
 //   bench_paper                                  # every experiment
 //   bench_paper fig7_estimators_vs_sources table1
@@ -18,10 +19,9 @@
 #include "bounds/exact_bound.h"
 #include "core/em_ext.h"
 #include "core/streaming_em.h"
-#include "estimators/em_ipsn12.h"
-#include "estimators/em_social.h"
 #include "estimators/registry.h"
 #include "eval/metrics.h"
+#include "math/stats.h"
 #include "simgen/parametric_gen.h"
 #include "simgen/procedural_gen.h"
 #include "twitter/builder.h"
@@ -166,6 +166,54 @@ Body bound_sweep(const char* x, std::vector<Point> points) {
     }
     out.print_into(doc);
   };
+}
+
+// Fig. 6: wall time of the exact bound (Eq. 3 enumeration, exponential
+// in n) against the Gibbs approximation at a fixed 1000-sweep budget
+// (linear in n), median over the reps on one instance per n. The exact
+// sweep stops at n = 25 (~5 s per run there), or at n = 15 under
+// SS_FAST=1.
+void fig6_bound_time(JsonValue& doc) {
+  const std::size_t exact_max = env_flag("SS_FAST") ? 15 : 25;
+  std::size_t reps = announce_reps(
+      5, 3, " per point",
+      strprintf(" (median wall time; exact up to n = %zu)", exact_max));
+  doc["reps"] = reps;
+  doc["exact_max_n"] = exact_max;
+  GibbsBoundConfig gibbs;
+  gibbs.min_sweeps = 1000;
+  gibbs.max_sweeps = 1000;
+  auto median_ms = [&](const std::function<void()>& work) {
+    std::vector<double> ms;
+    for (std::size_t r = 0; r < reps; ++r) {
+      WallTimer timer;
+      work();
+      ms.push_back(timer.millis());
+    }
+    return quantile(std::move(ms), 0.5);
+  };
+  Rows out{TablePrinter({"n", "exact ms", "approx ms"})};
+  for (std::size_t n : {5, 10, 15, 20, 25, 50}) {
+    Rng rng(60 + n);
+    SimInstance inst =
+        generate_parametric(SimKnobs::paper_defaults(n, 50), rng);
+    JsonValue row = object({{"n", n}});
+    std::string exact_cell = "-";
+    if (n <= exact_max) {
+      double ms = median_ms([&] {
+        (void)exact_dataset_bound(inst.dataset, inst.true_params);
+      });
+      exact_cell = strprintf("%.4g", ms);
+      row["exact_ms"] = ms;
+    }
+    double approx = median_ms([&] {
+      (void)gibbs_dataset_bound(inst.dataset, inst.true_params, 1, gibbs);
+    });
+    row["approx_ms"] = approx;
+    out.add({std::to_string(n), exact_cell, strprintf("%.4g", approx)},
+            std::move(row));
+  }
+  out.print_into(doc);
 }
 
 // Figs. 7-10: accuracy, false-positive and false-negative rates of
@@ -700,6 +748,12 @@ const std::vector<Experiment>& experiments() {
        bound_sweep("dep odds", by_dep_odds(20)),
        "expected shape: approx tracks exact across the sweep; more "
        "discriminative dependent claims => lower bound."},
+      {"fig6_bound_time",
+       "Figure 6 — bound computation time, exact vs approx",
+       "ICDCS'16 Fig. 6 (n = 5..50, m = 50, defaults)", fig6_bound_time,
+       "expected shape: exact time grows exponentially in n (each +5 "
+       "sources multiplies it ~30x); the approximation grows only "
+       "linearly at its fixed sweep budget and is cheaper from n = 20."},
       {"fig7_estimators_vs_sources",
        "Figure 7 — estimators vs number of sources",
        "ICDCS'16 Fig. 7 (n = 20..50 step 5, m = 50)",

@@ -11,8 +11,6 @@
 #include "bounds/confidence.h"
 #include "bounds/dataset_bound.h"
 #include "core/em_ext.h"
-#include "estimators/em_ipsn12.h"
-#include "estimators/em_social.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
 #include "simgen/parametric_gen.h"

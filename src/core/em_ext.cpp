@@ -69,4 +69,39 @@ EmExtResult EmExtEstimator::run_detailed(const Dataset& dataset,
       ShardedDataset::build(dataset), seed);
 }
 
+EmSocialEstimator::EmSocialEstimator(EmExtConfig config)
+    : config_(std::move(config)) {}
+
+EstimateResult EmSocialEstimator::run(const Dataset& dataset,
+                                      std::uint64_t seed) const {
+  return run_detailed(dataset, seed).estimate;
+}
+
+EmExtResult EmSocialEstimator::run_detailed(const Dataset& dataset,
+                                            std::uint64_t seed) const {
+  return ShardedEmEstimator(config_, EmModel::kSocial)
+      .run_detailed(ShardedDataset::build(dataset), seed);
+}
+
+EmIpsn12Estimator::EmIpsn12Estimator(EmExtConfig config)
+    : config_(std::move(config)) {
+  config_.warmup_iters = 0;
+}
+
+EstimateResult EmIpsn12Estimator::run(const Dataset& dataset,
+                                      std::uint64_t seed) const {
+  return run_detailed(dataset, seed).estimate;
+}
+
+EmExtResult EmIpsn12Estimator::run_detailed(const Dataset& dataset,
+                                            std::uint64_t seed) const {
+  dataset.validate();  // the copy below drops D, so check it here
+  Dataset independent;
+  independent.claims = dataset.claims;
+  independent.dependency = DependencyIndicators::from_cells(
+      dataset.source_count(), dataset.assertion_count(), {});
+  return ShardedEmEstimator(config_).run_detailed(
+      ShardedDataset::build(independent), seed);
+}
+
 }  // namespace ss

@@ -51,8 +51,9 @@ struct EmExtConfig {
   // f_i/g_i estimates from hurting EM-Ext exactly when dependent claims
   // carry little information (the paper's Fig. 10 left edge). 0 disables
   // (the paper's literal M-step); ablation bench A5 quantifies the
-  // effect. The EM baselines default to the same value so comparisons
-  // isolate the dependency model, not the regularizer.
+  // effect. The EM baselines (EmSocialEstimator, EmIpsn12Estimator)
+  // share this config, so comparisons isolate the dependency model, not
+  // the regularizer.
   double shrinkage = 8.0;
   // Bounds on the learned prior z. With sparse evidence z is weakly
   // identified and plain MLE can spiral into z -> 0 (or 1): singleton
@@ -69,7 +70,9 @@ struct EmExtConfig {
   // false-labelled cascades land in g, not f. Without the warm-up a
   // viral rumour whose independent support happens to sit above average
   // seeds its own echoes into f and locks the dependent-claim semantics
-  // in backwards (observed on Twitter-scale data). 0 disables.
+  // in backwards (observed on Twitter-scale data). 0 disables. The EM
+  // baselines run no warm-up: EM-Social *is* the tied phase run to
+  // convergence, and EM has no dependent cells for it to act on.
   std::size_t warmup_iters = 50;
   EmInit init_kind = EmInit::kVotePrior;
   // Optional explicit initialization; overrides init_kind when set.
@@ -148,10 +151,57 @@ class EmExtEstimator : public Estimator {
   EmExtConfig config_;
 };
 
-// Shared by the EM-family estimators: the support-based initial posterior
-// Z_j = support_j / (support_j + mean support), clamped to [0.05, 0.95].
-// With independent_only, dependent claims (D_ij = 1) do not count toward
-// support — the right prior for EM-Social, whose model never sees them.
+// The EM baselines, as members of the Table II model family run on the
+// EM-Ext engine (docs/MODEL.md §1). Both take EmExtConfig; its fields
+// mean what they mean for EM-Ext, except that no warm-up runs.
+//
+// EM-Social (IPSN'14; Wang et al., "Using Humans as Sensors: An
+// Estimation-Theoretic Perspective"): f_i = g_i tied on every M-step
+// (EmModel::kSocial). A tied pair cancels every dependent-branch factor
+// from the posterior, which is the paper's premise that dependent
+// claims carry no information — each exposed cell is deleted, as if
+// the dependent source had never spoken. EM-Ext replaces this deletion
+// with the learned (f_i, g_i) rates.
+class EmSocialEstimator : public Estimator {
+ public:
+  explicit EmSocialEstimator(EmExtConfig config = {});
+
+  std::string name() const override { return "EM-Social"; }
+  EstimateResult run(const Dataset& dataset,
+                     std::uint64_t seed) const override;
+  EmExtResult run_detailed(const Dataset& dataset,
+                           std::uint64_t seed) const;
+
+ private:
+  EmExtConfig config_;
+};
+
+// EM (IPSN'12; Wang et al., "On Truth Discovery in Social Sensing: A
+// Maximum Likelihood Estimation Approach"): every source independent,
+// the dependency indicators ignored. Runs EM-Ext on a copy of the
+// dataset whose dependency is empty: with no exposed cell, f and g
+// never touch the likelihood and the model is f_i = a_i, g_i = b_i
+// (two-coin Dawid-Skene). This is the estimator whose false-positive
+// rate degrades as dependent sources multiply (paper Fig. 7). The
+// returned f, g carry no evidence.
+class EmIpsn12Estimator : public Estimator {
+ public:
+  explicit EmIpsn12Estimator(EmExtConfig config = {});
+
+  std::string name() const override { return "EM"; }
+  EstimateResult run(const Dataset& dataset,
+                     std::uint64_t seed) const override;
+  EmExtResult run_detailed(const Dataset& dataset,
+                           std::uint64_t seed) const;
+
+ private:
+  EmExtConfig config_;
+};
+
+// The support-based initial posterior Z_j = support_j / (support_j +
+// mean support), clamped to [0.05, 0.95] — the Dataset form of the
+// engine's vote prior. With independent_only, dependent claims
+// (D_ij = 1) do not count toward support.
 std::vector<double> vote_prior_posterior(const Dataset& dataset,
                                          bool independent_only = false);
 

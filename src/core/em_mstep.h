@@ -11,9 +11,9 @@
 // finalize_m_step_fused runs the pooled reduction as a fixed-shape tree
 // over the *global* stats array (kernels::tree_reduce — identical bits
 // for any thread count or shard layout), then fuses the per-source MAP
-// update, clamp, non-finite sanitize, optional f=g warm-up tie and
-// convergence delta into one in-place chunked pass
-// (kernels::finalize_params). Per element the order is fixed:
+// update, clamp, non-finite sanitize, optional f=g tie (EM-Ext's
+// warm-up, every EM-Social step) and convergence delta into one
+// in-place chunked pass (kernels::finalize_params). Per element the order is fixed:
 // raw -> clamp (NaN survives, ±inf clamps uncounted) -> sanitize
 // (NaN -> previous, counted) -> tie -> delta. It consumes the packed
 // 6-double SourceMStatsPacked layout and re-derives the four update
@@ -79,8 +79,8 @@ struct MStepOutcome {
 
 // The fused production tail; see the header comment. Updates `params`
 // in place (it must hold the previous iteration's estimates, with
-// params.source.size() == stats.size()). `tie_fg` applies the warm-up
-// tie f = g = (f + g) / 2 after sanitizing. The per-source pass is
+// params.source.size() == stats.size()). `tie_fg` applies the tie
+// f = g = (f + g) / 2 after sanitizing. The per-source pass is
 // chunked on `pool` in fixed blocks; chunk results combine by + (count)
 // and max (delta), both order-independent, so the result is
 // bit-identical for any worker count.

@@ -369,13 +369,15 @@ EmExtResult decode_attempt(const std::string& bytes) {
   return r;
 }
 
-// The full EM-Ext outer loop over `engine`: init, warm-up, retries,
+// The full EM outer loop over `engine`: init, warm-up, retries,
 // restarts, checkpointing and winner selection. Its RNG streams,
 // checkpoint fingerprint chain and attempt order are part of the
 // golden hashes (tests/test_kernels.cpp, tests/test_shard.cpp), so a
-// change to any of them moves every EM-Ext hash.
+// change to any of them moves every EM-Ext hash. Under
+// EmModel::kSocial every M-step ties f = g and no warm-up runs.
 EmExtResult run_em_driver(const ShardedEmEngine& engine,
-                          const EmExtConfig& config, std::uint64_t seed) {
+                          const EmExtConfig& config, EmModel model,
+                          std::uint64_t seed) {
   const std::size_t n = engine.source_count();
   const std::size_t m = engine.assertion_count();
   if (m == 0) {
@@ -387,6 +389,7 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
   }
   ThreadPool* pool = engine.pool();
   Rng rng(seed, /*stream=*/0x37);
+  const bool social = model == EmModel::kSocial;
 
   bool random_init =
       !config.init.has_value() && config.init_kind == EmInit::kRandom;
@@ -426,9 +429,14 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
       params.source.assign(n, SourceParams{});
       em_detail::MStepOutcome ignored;
       engine.m_step(engine.vote_prior(/*independent_only=*/true), params,
-                    /*tie_fg=*/false, scratch, ignored);
+                    /*tie_fg=*/social, scratch, ignored);
     }
     clamp_params(params, config.clamp_eps);
+    if (social) {
+      // EM-Social's E-steps never see f != g: tie the random, explicit
+      // and re-seeded starts too (a no-op after the tied M-step above).
+      for (SourceParams& sp : params.source) sp.f = sp.g = 0.5 * (sp.f + sp.g);
+    }
 
     EmExtResult result;
     // One guarded E-step: posterior + likelihood with the driver's
@@ -447,7 +455,7 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
     // Phase 1 (warm-up): f and g tied per source, which cancels every
     // dependent-branch factor from the posterior — labels form from
     // independent evidence only (see EmExtConfig::warmup_iters).
-    std::size_t warmup = config.init.has_value() || random_init
+    std::size_t warmup = social || config.init.has_value() || random_init
                              ? 0
                              : config.warmup_iters;
     if (warmup > 0) {
@@ -467,7 +475,8 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
       }
     }
 
-    // Phase 2: the full model (Eq. 9 / Eq. 10-14).
+    // Phase 2: the full model (Eq. 9 / Eq. 10-14), or EM-Social's tied
+    // model run to convergence.
     ConvergenceMonitor monitor(config.tol, config.max_iters);
     bool done = false;
     while (!done) {
@@ -475,7 +484,7 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
       result.likelihood_trace.push_back(scratch.e.log_likelihood);
       // M-step (Eq. 10-14), in place.
       em_detail::MStepOutcome mo;
-      engine.m_step(scratch.e.posterior, params, /*tie_fg=*/false,
+      engine.m_step(scratch.e.posterior, params, /*tie_fg=*/social,
                     scratch, mo);
       health.sanitized_params += mo.sanitized;
       done = monitor.update_delta(mo.delta);
@@ -550,6 +559,9 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
         fp, static_cast<std::uint64_t>(config.max_divergence_retries));
     fp = fingerprint_combine(
         fp, static_cast<std::uint64_t>(config.init.has_value()));
+    // Folded in for EM-Social only, so EM-Ext fingerprints (and the
+    // checkpoint files they bind) stay what they were.
+    if (social) fp = fingerprint_combine(fp, std::uint64_t{0x534f43ull});
     ckpt = std::make_unique<CheckpointStore>(
         config.checkpoint_path, kEmExtCheckpointKind, fp, restarts);
   }
@@ -613,8 +625,8 @@ EmExtResult run_em_driver(const ShardedEmEngine& engine,
 
 }  // namespace
 
-ShardedEmEstimator::ShardedEmEstimator(EmExtConfig config)
-    : config_(std::move(config)) {}
+ShardedEmEstimator::ShardedEmEstimator(EmExtConfig config, EmModel model)
+    : config_(std::move(config)), model_(model) {}
 
 EstimateResult ShardedEmEstimator::run(const ShardedDataset& sharded,
                                        std::uint64_t seed) const {
@@ -626,7 +638,7 @@ EmExtResult ShardedEmEstimator::run_detailed(const ShardedDataset& sharded,
   ThreadPool* pool =
       config_.pool != nullptr ? config_.pool : &global_pool();
   ShardedEmEngine engine(sharded, config_, pool);
-  return run_em_driver(engine, config_, seed);
+  return run_em_driver(engine, config_, model_, seed);
 }
 
 }  // namespace ss

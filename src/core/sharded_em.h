@@ -1,4 +1,5 @@
-// EM-Ext over a ShardedDataset: the one EM-Ext execution engine.
+// EM-Ext over a ShardedDataset: the one EM execution engine. EM-Ext
+// and both EM baselines (EmSocialEstimator, EmIpsn12Estimator) run here.
 //
 // EmExtEstimator::run_detailed partitions its Dataset with
 // ShardedDataset::build (data/shard.h) and runs it here; callers that
@@ -28,8 +29,8 @@
 // with golden FNV-1a hashes; the AVX2 backend is held to the ULP
 // contract (docs/MODEL.md §12, §16). The outer loop (init, warm-up,
 // retries, restarts, checkpointing) lives in sharded_em.cpp; its
-// checkpoint fingerprint depends only on the dataset shape, so a
-// checkpoint written through EmExtEstimator resumes through
+// checkpoint fingerprint depends only on the dataset shape and the
+// model, so a checkpoint written through EmExtEstimator resumes through
 // ShardedEmEstimator and vice versa.
 #pragma once
 
@@ -40,15 +41,28 @@
 
 namespace ss {
 
+// Which member of the Table II model family the engine fits.
+//  * kExt — EM-Ext: the full model (optional f = g warm-up, then free
+//    f, g).
+//  * kSocial — EM-Social (IPSN'14): f_i = g_i tied on every M-step,
+//    the vote-prior init M-step included, and no warm-up. A tied pair
+//    cancels every dependent-branch factor from the posterior, so the
+//    fit is EM-Social's "delete every exposed cell" model
+//    (docs/MODEL.md §1). EmExtConfig::warmup_iters is ignored.
+// EM (IPSN'12) needs no mode of its own: it is kExt with no warm-up
+// on a copy of the dataset whose dependency is empty (EmIpsn12Estimator).
+enum class EmModel { kExt, kSocial };
+
 class ShardedEmEstimator {
  public:
-  explicit ShardedEmEstimator(EmExtConfig config = {});
+  explicit ShardedEmEstimator(EmExtConfig config = {},
+                              EmModel model = EmModel::kExt);
 
   // Same contract as EmExtEstimator::run / run_detailed, with the
   // incidence supplied as shards. The EmExtConfig semantics (tol,
   // warm-up, shrinkage, restarts, checkpointing, pool) carry over
   // unchanged — including the checkpoint fingerprint, which depends
-  // only on the dataset shape, not the shard layout.
+  // only on the dataset shape and the model, not the shard layout.
   EstimateResult run(const ShardedDataset& sharded,
                      std::uint64_t seed) const;
   EmExtResult run_detailed(const ShardedDataset& sharded,
@@ -56,6 +70,7 @@ class ShardedEmEstimator {
 
  private:
   EmExtConfig config_;
+  EmModel model_;
 };
 
 }  // namespace ss

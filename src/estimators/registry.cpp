@@ -4,8 +4,6 @@
 
 #include "core/em_ext.h"
 #include "estimators/average_log.h"
-#include "estimators/em_ipsn12.h"
-#include "estimators/em_social.h"
 #include "estimators/investment.h"
 #include "estimators/sums.h"
 #include "estimators/truth_finder.h"

@@ -9,13 +9,13 @@
 // contiguous structure-of-arrays buffers and where the per-incidence
 // work is reduced to pure adds:
 //
-//  * LogPair / ExtLogTable / RateLogTable — per-source log terms for the
-//    true and false hypotheses, stored *interleaved* so one cache line
-//    feeds both accumulators of a gather (the pre-kernel code kept six
+//  * LogPair / ExtLogTable — per-source log terms for the true and
+//    false hypotheses, stored *interleaved* so one cache line feeds
+//    both accumulators of a gather (the pre-kernel code kept six
 //    parallel arrays and paid two cache misses per incidence);
-//  * gather_add / gather_sub / gather_add_select — the branch-free
-//    incidence loops (select replaces the per-claim D_ij branch with an
-//    index into a two-pointer table);
+//  * gather_add / gather_add_select — the branch-free incidence loops
+//    (select replaces the per-claim D_ij branch with an index into a
+//    two-pointer table);
 //  * finalize_column / finalize_pair — the per-column epilogue with the
 //    shared exp: sigmoid(d) and logsumexp(lt, lf) both reduce to
 //    exp(-|d|), so one transcendental yields posterior, log-odds and
@@ -220,13 +220,11 @@ double gather_sum_avx2(std::span<const std::uint32_t> idx,
                        const double* values);
 kernels::MassPair gather_mass_avx2(std::span<const std::uint32_t> idx,
                                    const double* posterior);
-// Batch epilogues; aliasing contract documented on the kernels::
-// wrappers below.
+// Batch epilogue; aliasing contract documented on the kernels::
+// wrapper below.
 void finalize_columns_avx2(const double* la, const double* lb,
                            std::size_t n, double* posterior,
                            double* log_odds, double* column_ll);
-void finalize_pairs_avx2(const double* la, const double* lb, std::size_t n,
-                         double* posterior, double* log_odds);
 // ExtLogTable row kernel over n contiguous *unclamped* {a, b, f, g}
 // rate rows (the SourceParams memory layout): applies the canonical
 // clamp_prob clamp in-register, then writes the three correction
@@ -241,12 +239,6 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
                                  kernels::LogPair* claim_indep,
                                  kernels::LogPair* claim_dep,
                                  kernels::LogPair* base_terms);
-// Rate table build over a caller-packed scratch of {p_true, p_false}
-// rows; `base` is overwritten with the all-silent sums, accumulated in
-// source order.
-void rate_table_rows_avx2(std::size_t n, const double* rates,
-                          kernels::LogPair* silent, kernels::LogPair* claim,
-                          kernels::LogPair* base);
 void sweep_weights_avx2(std::size_t n, const double* p_claim_true,
                         const double* p_claim_false,
                         kernels::SweepWeights* out);
@@ -316,22 +308,6 @@ inline LogPair gather_add(LogPair acc, std::span<const std::uint32_t> idx,
     const LogPair& p = terms[u];
     at += p.t;
     af += p.f;
-  }
-  return {at, af};
-}
-
-// acc -= sum_{u in idx} terms[u] (EM-Social removes exposed sources
-// from its silent baseline instead of correcting them). Scalar-only:
-// the exposure lists this walks are short and the kernel is off the
-// critical path, so a vector backend would be dead weight.
-inline LogPair gather_sub(LogPair acc, std::span<const std::uint32_t> idx,
-                          const LogPair* terms) {
-  double at = acc.t;
-  double af = acc.f;
-  for (std::uint32_t u : idx) {
-    const LogPair& p = terms[u];
-    at -= p.t;
-    af -= p.f;
   }
   return {at, af};
 }
@@ -428,9 +404,9 @@ inline PairStats finalize_pair(double la, double lb) {
   return {e / (1.0 + e), d};
 }
 
-// Batch epilogues over n columns — the dispatched form the fused
-// E-step uses. Scalar backend: exactly finalize_column/finalize_pair
-// per column, ascending j. AVX2 backend: four columns per iteration
+// Batch epilogue over n columns — the dispatched form the fused
+// E-step uses. Scalar backend: exactly finalize_column per column,
+// ascending j. AVX2 backend: four columns per iteration
 // with polynomial exp/log1p (±inf/NaN lanes fall back to the scalar
 // form for exact degenerate semantics).
 //
@@ -443,8 +419,6 @@ inline PairStats finalize_pair(double la, double lb) {
 void finalize_columns(const double* la, const double* lb, std::size_t n,
                       double* posterior, double* log_odds,
                       double* column_ll);
-void finalize_pairs(const double* la, const double* lb, std::size_t n,
-                    double* posterior, double* log_odds);
 
 // Fused M-step parameter finalize over n sources, in place. `stats6`
 // is n rows of 6 doubles laid out as em_detail::SourceMStatsPacked —
@@ -540,61 +514,6 @@ class ExtLogTable {
   LogPair base_;
   double log_z_ = 0.0;
   double log_1mz_ = 0.0;
-};
-
-// Two-rate table for the independent-cell baselines (EM-Social,
-// EM-IPSN12): silent pairs {log(1-p_t), log(1-p_f)} for baseline /
-// exposure removal, claim correction pairs {log p - log(1-p)}, and the
-// all-silent baseline sums. `rates(i)` returns clamped {p_true,
-// p_false} for source i. The scalar build runs four transcendentals
-// per source in order; the avx2 build packs the rates into a scratch
-// and evaluates two sources per vector (simd::rate_table_rows_avx2).
-// Both add the base sums in source order.
-class RateLogTable {
- public:
-  template <typename Rates>
-  void build(std::size_t n, Rates&& rates) {
-    if (silent_.size() != n) {
-      silent_.resize(n);
-      claim_.resize(n);
-    }
-    if (n > 0 && simd::avx2_active()) {
-      if (rate_scratch_.size() < 2 * n) rate_scratch_.resize(2 * n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = rates(i);  // {p_true, p_false}, clamped
-        rate_scratch_[2 * i + 0] = r[0];
-        rate_scratch_[2 * i + 1] = r[1];
-      }
-      simd::rate_table_rows_avx2(n, rate_scratch_.data(), silent_.data(),
-                                 claim_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto r = rates(i);  // {p_true, p_false}, clamped
-      double log_pt = std::log(r[0]);
-      double log_nt = std::log1p(-r[0]);
-      double log_pf = std::log(r[1]);
-      double log_nf = std::log1p(-r[1]);
-      silent_[i] = {log_nt, log_nf};
-      claim_[i] = {log_pt - log_nt, log_pf - log_nf};
-      base_t += log_nt;
-      base_f += log_nf;
-    }
-    base_ = {base_t, base_f};
-  }
-
-  std::size_t source_count() const { return silent_.size(); }
-  LogPair base() const { return base_; }
-  const LogPair* silent() const { return silent_.data(); }
-  const LogPair* claim() const { return claim_.data(); }
-
- private:
-  std::vector<LogPair> silent_;
-  std::vector<LogPair> claim_;
-  std::vector<double> rate_scratch_;  // avx2 build input, {pt,pf} rows
-  LogPair base_;
 };
 
 // ---------------------------------------------------------------------

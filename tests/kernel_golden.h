@@ -22,8 +22,6 @@
 #include "core/posterior.h"
 #include "core/streaming_em.h"
 #include "estimators/average_log.h"
-#include "estimators/em_ipsn12.h"
-#include "estimators/em_social.h"
 #include "estimators/truth_finder.h"
 #include "simgen/parametric_gen.h"
 #include "twitter/builder.h"
@@ -179,24 +177,37 @@ inline std::uint64_t golden_e_step_dense(std::size_t threads) {
   return hash_e_step(dense.dataset, dense.true_params, &pool);
 }
 
-inline std::uint64_t golden_em_social() {
+// The EM baselines on the EM-Ext engine (tied f = g, and D cleared).
+inline std::uint64_t golden_em_social(std::size_t threads) {
   Dataset d = golden_dataset(101, 120, 300);
-  EstimateResult r = EmSocialEstimator().run(d, 1);
+  ThreadPool pool(threads);
+  EmExtConfig config;
+  config.pool = &pool;
+  EstimateResult r = EmSocialEstimator(config).run(d, 1);
   Hash h;
   h.vec(r.belief);
   h.vec(r.log_odds);
   return h.value();
 }
 
-inline std::uint64_t golden_em_ipsn12() {
+inline std::uint64_t golden_em_ipsn12(std::size_t threads) {
   Dataset d = golden_dataset(101, 120, 300);
-  EmIpsn12Result r = EmIpsn12Estimator().run_detailed(d, 1);
+  ThreadPool pool(threads);
+  EmExtConfig config;
+  config.pool = &pool;
+  EmExtResult r = EmIpsn12Estimator(config).run_detailed(d, 1);
+  std::vector<double> a;
+  std::vector<double> b;
+  for (const SourceParams& s : r.params.source) {
+    a.push_back(s.a);
+    b.push_back(s.b);
+  }
   Hash h;
   h.vec(r.estimate.belief);
   h.vec(r.estimate.log_odds);
-  h.vec(r.a);
-  h.vec(r.b);
-  h.f64(r.z);
+  h.vec(a);
+  h.vec(b);
+  h.f64(r.params.z);
   return h.value();
 }
 

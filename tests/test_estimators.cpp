@@ -7,8 +7,6 @@
 
 #include "core/em_ext.h"
 #include "estimators/average_log.h"
-#include "estimators/em_ipsn12.h"
-#include "estimators/em_social.h"
 #include "estimators/investment.h"
 #include "estimators/registry.h"
 #include "estimators/sums.h"
@@ -146,7 +144,7 @@ TEST(EmIpsn12, LearnsSourceQualityOnSyntheticData) {
   knobs.tau_lo = knobs.tau_hi = 40;  // fully independent sources
   SimInstance inst = generate_parametric(knobs, rng);
   EmIpsn12Estimator em;
-  EmIpsn12Result r = em.run_detailed(inst.dataset, 1);
+  EmExtResult r = em.run_detailed(inst.dataset, 1);
   ClassificationMetrics m = classify(inst.dataset, r.estimate);
   // With no dependencies the independent-source model is well-specified
   // and should perform strongly.
@@ -154,8 +152,8 @@ TEST(EmIpsn12, LearnsSourceQualityOnSyntheticData) {
   // Learned reliabilities should correlate with the generating ones:
   // a_i near p_on * p_indepT in [0.29, 0.53].
   double mean_a = 0.0;
-  for (double a : r.a) mean_a += a;
-  mean_a /= static_cast<double>(r.a.size());
+  for (const SourceParams& s : r.params.source) mean_a += s.a;
+  mean_a /= static_cast<double>(r.params.source.size());
   EXPECT_GT(mean_a, 0.2);
   EXPECT_LT(mean_a, 0.6);
 }
@@ -200,6 +198,38 @@ TEST(EmSocial, IgnoresDependentClaims) {
   auto r_echo = em.run(echoed, 1);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(r_base.belief[j], r_echo.belief[j], 1e-9) << j;
+  }
+}
+
+TEST(EmSocial, EveryEStepIgnoresDependentClaims) {
+  // f = g is tied from the very first E-step on (the init M-step ties
+  // too), so with the iteration count pinned (tol = 0) EM-Social walks
+  // the same path whether or not the dependent claims are present.
+  Rng rng(104);
+  SimInstance inst =
+      generate_parametric(SimKnobs::paper_defaults(20, 30), rng);
+  std::vector<Claim> kept;
+  for (const Claim& c : inst.dataset.claims.to_claims()) {
+    if (!inst.dataset.dependency.dependent(c.source, c.assertion)) {
+      kept.push_back(c);
+    }
+  }
+  ASSERT_LT(kept.size(), inst.dataset.claims.to_claims().size());
+  Dataset deleted;
+  deleted.claims = SourceClaimMatrix(20, 30, kept);
+  deleted.dependency = inst.dataset.dependency;
+
+  for (std::size_t iters : {1, 3}) {
+    EmExtConfig config;
+    config.tol = 0.0;
+    config.max_iters = iters;
+    EmSocialEstimator em(config);
+    auto r_full = em.run(inst.dataset, 1);
+    auto r_deleted = em.run(deleted, 1);
+    for (std::size_t j = 0; j < 30; ++j) {
+      EXPECT_NEAR(r_full.belief[j], r_deleted.belief[j], 1e-9)
+          << "assertion " << j << " after " << iters << " iterations";
+    }
   }
 }
 

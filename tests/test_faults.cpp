@@ -18,9 +18,11 @@
 #include "core/streaming_em.h"
 #include "data/dataset.h"
 #include "data/io.h"
+#include "simgen/parametric_gen.h"
 #include "twitter/tweet_io.h"
 #include "util/checkpoint.h"
 #include "util/fault_inject.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -477,6 +479,42 @@ TEST(Checkpoint, EmExtKilledRunResumesBitIdentical) {
   EXPECT_EQ(resumed.params.z, baseline.params.z);
   // Successful run cleans up after itself.
   EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, EmSocialCheckpointIsIgnoredByEmExt) {
+  // EM-Social and EM-Ext share EmExtConfig, the engine and the record
+  // format; only the model differs. A checkpoint one of them leaves
+  // behind (same data, seed, config and path) must not be replayed by
+  // the other, in either direction.
+  Rng rng(17);
+  Dataset d = generate_parametric(SimKnobs::paper_defaults(20, 30), rng)
+                  .dataset;
+  std::string dir = temp_dir("em_social_ckpt");
+  EmExtConfig config;
+  EmExtResult ext_clean = EmExtEstimator(config).run_detailed(d, 3);
+  EmExtResult social_clean = EmSocialEstimator(config).run_detailed(d, 3);
+
+  EmExtConfig ckpt = config;
+  ckpt.checkpoint_path = dir + "/em.ckpt";
+  ckpt.keep_checkpoint = true;
+  EmExtResult social = EmSocialEstimator(ckpt).run_detailed(d, 3);
+  EXPECT_EQ(social.health.resumed_attempts, 0u);
+  ASSERT_TRUE(std::filesystem::exists(ckpt.checkpoint_path));
+
+  EmExtResult ext = EmExtEstimator(ckpt).run_detailed(d, 3);
+  EXPECT_EQ(ext.health.resumed_attempts, 0u);
+  EXPECT_EQ(ext.estimate.belief, ext_clean.estimate.belief);
+  EXPECT_EQ(ext.likelihood_trace, ext_clean.likelihood_trace);
+  EXPECT_EQ(ext.log_likelihood, ext_clean.log_likelihood);
+
+  // The file now holds EM-Ext's attempt; EM-Social must ignore it too.
+  EmExtResult social_again = EmSocialEstimator(ckpt).run_detailed(d, 3);
+  EXPECT_EQ(social_again.health.resumed_attempts, 0u);
+  EXPECT_EQ(social_again.estimate.belief, social_clean.estimate.belief);
+  EXPECT_EQ(social_again.likelihood_trace, social_clean.likelihood_trace);
+  // Sanity: the two models really do produce different records here.
+  EXPECT_NE(ext_clean.likelihood_trace, social_clean.likelihood_trace);
   std::filesystem::remove_all(dir);
 }
 

@@ -307,28 +307,6 @@ TEST(SimdKernels, FinalizeColumnsMatchesScalarIncludingDegenerates) {
   }
 }
 
-TEST(SimdKernels, FinalizePairsMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(409);
-  const std::size_t n = 53;
-  std::vector<double> la(n), lb(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    la[j] = rng.uniform(-40.0, 10.0);
-    lb[j] = rng.uniform(-40.0, 10.0);
-  }
-  la[3] = -kInf;
-  lb[7] = -kInf;
-  std::vector<double> post(n), odds(n);
-  simd::finalize_pairs_avx2(la.data(), lb.data(), n, post.data(),
-                            odds.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    kernels::PairStats s = kernels::finalize_pair(la[j], lb[j]);
-    std::string tag = "finalize_pairs j=" + std::to_string(j);
-    expect_close(s.posterior, post[j], kEpilogueUlp, tag + " posterior");
-    expect_close(s.log_odds, odds[j], kEpilogueUlp, tag + " log_odds");
-  }
-}
-
 TEST(SimdKernels, FinalizeColumnsHonorsElementwiseAliasing) {
   SKIP_WITHOUT_AVX2();
   // Exactly the fused E-step's calling convention: log_odds aliases la
@@ -431,47 +409,6 @@ TEST(SimdKernels, ExtLogTableBuildMatchesScalar) {
   EXPECT_EQ(scalar_table.claim_dep()[12].t, avx2_table.claim_dep()[12].t);
   EXPECT_TRUE(std::isnan(avx2_table.exposed_silent()[12].f));
   EXPECT_TRUE(std::isnan(avx2_table.claim_dep()[12].f));
-}
-
-TEST(SimdKernels, RateLogTableBuildMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(412);
-  const std::size_t n = 33;  // odd: exercises the one-source tail
-  std::vector<double> pt(n), pf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pt[i] = rng.uniform(0.02, 0.98);
-    pf[i] = rng.uniform(0.02, 0.98);
-  }
-  pt[6] = 1.0;  // degenerate pair -> scalar-fallback rows
-  auto rates = [&](std::size_t i) {
-    return std::array<double, 2>{pt[i], pf[i]};
-  };
-
-  kernels::RateLogTable scalar_table;
-  {
-    test_support::ScopedBackend pin(simd::Backend::kScalar);
-    scalar_table.build(n, rates);
-  }
-  kernels::RateLogTable avx2_table;
-  {
-    test_support::ScopedBackend pin(simd::Backend::kAvx2);
-    avx2_table.build(n, rates);
-  }
-  expect_close(scalar_table.base().t, avx2_table.base().t, kTableUlp,
-               "rate base.t");
-  expect_close(scalar_table.base().f, avx2_table.base().f, kTableUlp,
-               "rate base.f");
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string tag = "rate i=" + std::to_string(i);
-    expect_close(scalar_table.silent()[i].t, avx2_table.silent()[i].t,
-                 kTableUlp, tag + " silent.t");
-    expect_close(scalar_table.silent()[i].f, avx2_table.silent()[i].f,
-                 kTableUlp, tag + " silent.f");
-    expect_close(scalar_table.claim()[i].t, avx2_table.claim()[i].t,
-                 kTableUlp, tag + " claim.t");
-    expect_close(scalar_table.claim()[i].f, avx2_table.claim()[i].f,
-                 kTableUlp, tag + " claim.f");
-  }
 }
 
 // ---------------------------------------------------------------------
